@@ -48,6 +48,8 @@
 //                       interleavings are not reproducible). The sim twin's
 //                       predicted hops/op is recorded next to the measured
 //                       one; their ratio is the cross-validation number.
+//                       Each row also prints the share of posts that crossed
+//                       workers through a mailbox (printed only, not gated).
 //
 // Usage: bench_throughput [--quick] [--out FILE.json]
 #include <algorithm>
@@ -660,10 +662,13 @@ int run(int argc, char** argv) {
     row.queue_messages = best.queue_messages;
     row.hops_per_op = best.hops_per_op();
     row.checker_passed = check.ok;
+    const std::uint64_t posts = best.queue_messages + best.token_messages;
+    const double remote_share =
+        posts > 0 ? static_cast<double>(best.remote_messages) / static_cast<double>(posts) : 0.0;
     std::printf("  T=%d                  %8.3f s   %11.0f ops/s      hops/op %.2f (sim %.2f)  "
-                "checker %s",
+                "remote %5.1f%%  checker %s",
                 t_count, row.seconds, row.ops_per_sec, row.hops_per_op, rt_sim_hops,
-                row.checker_passed ? "PASS" : "FAIL");
+                100.0 * remote_share, row.checker_passed ? "PASS" : "FAIL");
     if (t_count > 1 && !rt_rows.empty())
       std::printf("  (%.2fx vs T=1)", rt_rows.front().seconds / row.seconds);
     std::printf("\n");

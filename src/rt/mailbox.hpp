@@ -1,6 +1,11 @@
 // Per-node mailboxes for the shared-memory runtime (src/rt/): bounded MPSC
 // delivery with a correctness-preserving overflow path.
 //
+// A mailbox carries only cross-worker traffic. A post between two nodes of
+// the same worker takes that worker's private FIFO instead (runtime.cpp), so
+// the producers of a node's mailbox are the other workers, and at T = 1 no
+// mailbox is used at all.
+//
 // Two implementations, chosen at compile time:
 //
 //  * RingMailbox (default) — a Vyukov-style bounded ring whose push/pop are
@@ -23,8 +28,12 @@
 //    non-empty), every later push also diverts until the consumer has
 //    drained the overflow batch — so a producer never has messages in the
 //    ring *behind* its own overflow messages;
-//  * the consumer takes the overflow batch only when the ring is empty and
-//    finishes the batch before touching the ring again.
+//  * the consumer takes the overflow batch only when the ring looks empty,
+//    notes how many ring slots producers have reserved by then (the fence),
+//    delivers the ring up to the fence, then the whole batch, and only then
+//    the rest of the ring. The fence matters because "looks empty" also
+//    covers a slot that is reserved but not yet published: without it a
+//    producer's overflow message could overtake its own earlier ring message.
 //
 // Capacity. The ring bounds steady-state memory; the overflow bounds
 // worst-case correctness (a node can transiently receive O(outstanding
@@ -103,6 +112,11 @@ class RingMailbox {
   bool maybe_nonempty() const {
     return head_.load(std::memory_order_acquire) != tail_;
   }
+
+  /// Slots reserved by producers so far (published or not).
+  std::size_t reserved() const { return head_.load(std::memory_order_acquire); }
+  /// Slots popped so far (consumer only).
+  std::size_t consumed() const { return tail_; }
 
  private:
   struct Slot {
@@ -189,8 +203,11 @@ class Mailbox {
   }
 
   bool try_pop(T& out) {
-    // Oldest first: the pending overflow batch predates anything a producer
-    // has pushed into the ring since the batch was taken.
+    // Ring slots reserved before the batch was taken precede it; a false
+    // return here means one of them is still being published.
+    if (ring_.consumed() < fence_) return ring_.try_pop(out);
+    // Then the batch: it predates anything a producer has pushed into the
+    // ring since the batch was taken.
     if (batch_next_ < batch_.size()) {
       out = std::move(batch_[batch_next_++]);
       return true;
@@ -202,11 +219,13 @@ class Mailbox {
     {
       std::lock_guard<std::mutex> lock(overflow_mu_);
       batch_.swap(overflow_);
+      // Read under the lock, before the flag clears: every ring push made
+      // before an overflow push in this batch is below the fence, and every
+      // ring push that saw the cleared flag is at or above it.
+      fence_ = ring_.reserved();
       overflow_nonempty_.store(false, std::memory_order_release);
     }
-    if (batch_.empty()) return false;
-    out = std::move(batch_[batch_next_++]);
-    return true;
+    return try_pop(out);
   }
 
   bool maybe_nonempty() const {
@@ -220,6 +239,7 @@ class Mailbox {
   std::vector<T> overflow_;     // guarded by overflow_mu_
   std::vector<T> batch_;        // consumer-private
   std::size_t batch_next_ = 0;  // consumer-private
+  std::size_t fence_ = 0;       // consumer-private: ring position the batch waits for
   std::atomic<bool> overflow_nonempty_{false};
 #endif
 };

@@ -1,7 +1,8 @@
 // Per-node runtime state: the arrow pointer machine plus the token slots,
 // mutated only by the node's owning worker (see runtime.hpp for the
 // ownership rules). The only cross-thread members are the mailbox and the
-// `scheduled` wakeup flag.
+// `scheduled` wakeup flag, and only posts from other workers touch them:
+// posts from the owning worker go through its private FIFO.
 #pragma once
 
 #include <atomic>
@@ -32,6 +33,7 @@ struct ArrowNode {
   explicit ArrowNode(std::size_t mailbox_capacity) : mailbox(mailbox_capacity) {}
 
   // --- cross-thread ---------------------------------------------------------
+  /// Mail from nodes owned by other workers (cross-worker posts only).
   Mailbox<Msg> mailbox;
   /// Wakeup dedup: false -> true transition (by any sender) enqueues the node
   /// on its owner's runqueue exactly once; the owner clears it before

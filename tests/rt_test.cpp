@@ -4,11 +4,19 @@
 // per run — so these tests pin the things that must hold on *every* run:
 //
 //  * mailbox contract — per-producer FIFO through the bounded ring and its
-//    overflow path, single-threaded and under a genuine MPSC thread stress;
-//  * checker soundness on real runs — 36 randomized runtime executions
-//    (4 topology families x T in {1, 2, 4} x 3 round/capacity variants) all
-//    produce histories that rt::check_history accepts, with exact op and
-//    token counts;
+//    overflow path, single-threaded, with a producer held mid-publish, and
+//    under a genuine MPSC thread stress;
+//  * ownership — the preorder-chunk map owns every node once, balances
+//    chunk sizes to within one, clamps T to n, and cuts few tree edges;
+//  * checker soundness on real runs — 60 randomized runtime executions
+//    (5 topology families x T in {1, 2, 3, 4} x 3 round/capacity variants)
+//    all produce histories that rt::check_history accepts, with exact op and
+//    token counts; the star family sends almost every post across workers,
+//    so the capacity-2 variant drives the mailbox overflow path;
+//  * the two delivery channels — no post crosses workers at T = 1, at
+//    least one does at T >= 2, and a worker busy with its own nodes still
+//    reads cross-worker mail, so the other worker's clients are not starved,
+//    and thousands of short remote-heavy runs all finish (no lost wakeup);
 //  * app semantics — the counter app's values match chain positions (the
 //    checker's rule 5), the directory app accounts positive travel;
 //  * checker completeness — seeded corruptions of a genuinely valid history
@@ -19,7 +27,13 @@
 //    reports a positive hop ratio with a passing check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -90,6 +104,64 @@ TEST(RtMailbox, OverflowPathPreservesFifo) {
   EXPECT_FALSE(mbox.maybe_nonempty());
 }
 
+/// Mailbox element whose copy-assignment can block: the ring copies a pushed
+/// value into its slot after reserving the slot and before publishing it, so
+/// a gated value holds its producer exactly mid-publish.
+struct GatedMsg {
+  int producer = 0;
+  int seq = 0;
+  bool gated = false;
+  static inline std::atomic<bool> entered{false};
+  static inline std::atomic<bool> open{false};
+
+  GatedMsg() = default;
+  GatedMsg(int p, int s, bool g = false) : producer(p), seq(s), gated(g) {}
+  GatedMsg(const GatedMsg&) = default;
+  GatedMsg& operator=(const GatedMsg& o) {
+    if (o.gated) {
+      entered.store(true);
+      while (!open.load()) std::this_thread::yield();
+    }
+    producer = o.producer;
+    seq = o.seq;
+    gated = false;  // only the producer's copy into the slot waits
+    return *this;
+  }
+};
+
+TEST(RtMailbox, OverflowWaitsForRingSlotStillBeingPublished) {
+  // Producer 0 reserves ring slot 0 and stalls before publishing it. This
+  // thread, as producer 1, fills the rest of the ring and overflows. The
+  // consumer must not hand out producer 1's overflow messages ahead of its
+  // ring messages just because the ring's head slot is not ready yet.
+#if defined(ARROWDQ_RT_LOCKING_MAILBOX)
+  // The locking mailbox copies under its mutex, so no slot is ever reserved
+  // but unpublished, and the gated copy would block every other push.
+  GTEST_SKIP() << "ring-mailbox publish race; the locking mailbox has none";
+#endif
+  GatedMsg::entered.store(false);
+  GatedMsg::open.store(false);
+  rt::Mailbox<GatedMsg> mbox(4);
+  std::thread stalled([&mbox] { mbox.push(GatedMsg{0, 0, true}); });
+  while (!GatedMsg::entered.load()) std::this_thread::yield();
+  for (int i = 0; i < 5; ++i) mbox.push(GatedMsg{1, i});  // 3 in the ring, 2 overflow
+  GatedMsg out;
+  EXPECT_FALSE(mbox.try_pop(out)) << "popped producer " << out.producer << " seq " << out.seq
+                                  << " ahead of the ring slot still being published";
+  GatedMsg::open.store(true);
+  stalled.join();
+  int next_seq = 0, got = 0;
+  while (mbox.try_pop(out)) {
+    ++got;
+    if (out.producer == 1) {
+      EXPECT_EQ(out.seq, next_seq) << "producer 1 reordered";
+      ++next_seq;
+    }
+  }
+  EXPECT_EQ(got, 6);
+  EXPECT_EQ(next_seq, 5);
+}
+
 TEST(RtMailbox, MpscStressKeepsPerProducerOrder) {
   // 4 producer threads x 4000 messages through a 8-slot ring: the overflow
   // path runs constantly. The consumer checks every producer's sequence
@@ -126,23 +198,105 @@ TEST(RtMailbox, MpscStressKeepsPerProducerOrder) {
 
 // --- randomized runtime runs through the checker -------------------------
 
+constexpr int kFamilies = 5;
+constexpr int kBinaryFamily = 0;
+constexpr int kPathFamily = 1;
+
 Tree make_family_tree(int family, Rng& rng) {
   switch (family) {
-    case 0: return balanced_binary_overlay(make_complete(24));
-    case 1: return testutil::path_tree(17);
+    case kBinaryFamily: return balanced_binary_overlay(make_complete(24));
+    case kPathFamily: return testutil::path_tree(17);
     case 2: return testutil::grid_tree(4, 5);
-    default: return testutil::random_tree(23, rng);
+    case 3: return testutil::random_tree(23, rng);
+    default: {
+      // Star rooted at its centre: every leaf after the first chunk hangs off
+      // a node of worker 0, so almost every edge crosses workers.
+      std::vector<NodeId> parent(19, 0);
+      parent[0] = kNoNode;
+      return Tree::from_parents(std::move(parent), 0);
+    }
   }
 }
 
+// --- ownership -------------------------------------------------------------
+
+int ceil_log2(NodeId n) {
+  int k = 0;
+  while ((NodeId{1} << k) < n) ++k;
+  return k;
+}
+
+TEST(RtOwnership, PreorderChunksOwnEveryNodeOnceInBalancedChunks) {
+  for (int family = 0; family < kFamilies; ++family) {
+    Rng rng = testutil::seeded_rng(family);
+    const Tree tree = make_family_tree(family, rng);
+    const NodeId n = tree.node_count();
+    for (int threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(testing::Message() << "family=" << family << " T=" << threads);
+      const rt::Ownership own = rt::preorder_ownership(tree, threads);
+      ASSERT_EQ(own.workers(), threads);
+      ASSERT_EQ(own.owner.size(), static_cast<std::size_t>(n));
+      std::vector<int> seen(static_cast<std::size_t>(n), 0);
+      std::size_t min_size = own.nodes[0].size(), max_size = 0;
+      for (int w = 0; w < own.workers(); ++w) {
+        const auto& mine = own.nodes[static_cast<std::size_t>(w)];
+        min_size = std::min(min_size, mine.size());
+        max_size = std::max(max_size, mine.size());
+        for (NodeId v : mine) {
+          ++seen[static_cast<std::size_t>(v)];
+          EXPECT_EQ(own.owner[static_cast<std::size_t>(v)], w);
+        }
+      }
+      for (NodeId v = 0; v < n; ++v)
+        EXPECT_EQ(seen[static_cast<std::size_t>(v)], 1) << "node " << v;
+      EXPECT_LE(max_size - min_size, 1u);
+      // The root opens the first chunk, so worker 0 is the root's owner.
+      EXPECT_EQ(own.owner[static_cast<std::size_t>(tree.root())], 0);
+    }
+  }
+}
+
+TEST(RtOwnership, MoreWorkersThanNodesClampToOnePerNode) {
+  const Tree path = testutil::path_tree(3);
+  const rt::Ownership own = rt::preorder_ownership(path, 8);
+  ASSERT_EQ(own.workers(), 3);
+  for (const auto& mine : own.nodes) EXPECT_EQ(mine.size(), 1u);
+  const Tree single{std::vector<NodeId>{kNoNode}, std::vector<Weight>{1}, 0};
+  EXPECT_EQ(rt::preorder_ownership(single, 4).workers(), 1);
+  EXPECT_EQ(rt::preorder_ownership(path, 0).workers(), 1) << "T < 1 clamps to one worker";
+}
+
+TEST(RtOwnership, FewTreeEdgesCrossWorkersOnPathAndBinaryTrees) {
+  Rng rng = testutil::seeded_rng(0);
+  for (const Tree& tree : {make_family_tree(kPathFamily, rng),
+                           make_family_tree(kBinaryFamily, rng),
+                           balanced_binary_overlay(make_complete(1024))}) {
+    const NodeId n = tree.node_count();
+    for (int threads = 1; threads <= 4; ++threads) {
+      const rt::Ownership own = rt::preorder_ownership(tree, threads);
+      int cut = 0;
+      for (NodeId v = 0; v < n; ++v)
+        if (v != tree.root() && own.owner[static_cast<std::size_t>(v)] !=
+                                    own.owner[static_cast<std::size_t>(tree.parent(v))])
+          ++cut;
+      EXPECT_LE(cut, threads * ceil_log2(n)) << "n=" << n << " T=" << threads;
+      if (threads == 1) {
+        EXPECT_EQ(cut, 0);
+      }
+    }
+  }
+}
+
+// --- randomized runtime runs through the checker -------------------------
+
 TEST(RtRuntime, RandomizedRunsPassChecker) {
-  // 4 families x 3 thread counts x 3 variants = 36 independent runs, each
+  // 5 families x 4 thread counts x 3 variants = 60 independent runs, each
   // judged by the history checker — the runtime's replacement for goldens.
   const std::int64_t rounds_of[3] = {5, 9, 20};
   const int capacity_of[3] = {2, 8, 64};  // 2 forces the mailbox overflow path
   int runs = 0;
-  for (int family = 0; family < 4; ++family) {
-    for (int threads : {1, 2, 4}) {
+  for (int family = 0; family < kFamilies; ++family) {
+    for (int threads : {1, 2, 3, 4}) {
       for (int variant = 0; variant < 3; ++variant) {
         Rng rng = testutil::seeded_rng(family * 100 + threads * 10 + variant);
         const Tree tree = make_family_tree(family, rng);
@@ -164,11 +318,105 @@ TEST(RtRuntime, RandomizedRunsPassChecker) {
         const CheckResult check = rt::check_history(res.history, spec);
         EXPECT_TRUE(check.ok) << "family=" << family << " T=" << threads
                               << " variant=" << variant << ": " << check.error;
+        if (threads == 1)
+          EXPECT_EQ(res.remote_messages, 0u);
+        else
+          EXPECT_GE(res.remote_messages, 1u);
         ++runs;
       }
     }
   }
-  EXPECT_GE(runs, 30);
+  EXPECT_EQ(runs, 60);
+}
+
+TEST(RtRuntime, RemoteMessagesCountOnlyCrossWorkerPosts) {
+  // At T = 1 every post stays on the worker's private FIFO. At T >= 2 the
+  // first node of a non-root chunk has its parent in an earlier chunk, and
+  // its first issue posts queue() to that parent: at least one remote post
+  // on every tree with n >= 2, even with a single round.
+  for (int family = 0; family < kFamilies; ++family) {
+    Rng rng = testutil::seeded_rng(family);
+    const Tree tree = make_family_tree(family, rng);
+    for (int threads = 1; threads <= 4; ++threads) {
+      RtConfig cfg;
+      cfg.threads = threads;
+      cfg.rounds_per_node = 1;
+      cfg.record_history = false;
+      const RtResult res = run_runtime(tree, cfg);
+      if (threads == 1)
+        EXPECT_EQ(res.remote_messages, 0u) << "family=" << family;
+      else
+        EXPECT_GE(res.remote_messages, 1u) << "family=" << family << " T=" << threads;
+      EXPECT_LE(res.remote_messages, res.queue_messages + res.token_messages);
+    }
+  }
+  const Tree pair = testutil::path_tree(2);
+  RtConfig cfg;
+  cfg.threads = 2;
+  cfg.rounds_per_node = 1;
+  EXPECT_GE(run_runtime(pair, cfg).remote_messages, 1u);
+}
+
+TEST(RtRuntime, CrossWorkerMailIsNotStarvedByLocalWork) {
+  // The benchmark's tree (balanced binary on K_1024) at T = 2: every path
+  // from a worker-1 node to the root runs through worker 0, and worker 0's
+  // own nodes keep its private FIFO busy for the whole run. A worker that
+  // emptied its FIFO before reading any cross-worker mail would let no
+  // worker-1 request in until worker 0 had finished all of its own. Batched
+  // delivery lets one lap of the queue (at most n requests) pass first.
+  const Tree tree = balanced_binary_overlay(make_complete(1024));
+  RtConfig cfg;
+  cfg.threads = 2;
+  cfg.rounds_per_node = 16;
+  const RtResult res = run_runtime(tree, cfg);
+  CheckSpec spec{tree.node_count(), cfg.rounds_per_node, RtApp::kMutex};
+  const CheckResult check = rt::check_history(res.history, spec);
+  ASSERT_TRUE(check.ok) << check.error;
+  const rt::Ownership own = rt::preorder_ownership(tree, 2);
+  std::int64_t w0_total = 0, w0_before_w1 = 0;
+  bool w1_seen = false;
+  for (const Event& e : res.history.events) {
+    if (e.kind != EventKind::kAcquire) continue;
+    if (own.owner[static_cast<std::size_t>(e.node)] == 1) {
+      w1_seen = true;
+    } else {
+      ++w0_total;
+      if (!w1_seen) ++w0_before_w1;
+    }
+  }
+  ASSERT_TRUE(w1_seen);
+  EXPECT_EQ(w0_total, static_cast<std::int64_t>(own.nodes[0].size()) * cfg.rounds_per_node);
+  EXPECT_LT(w0_before_w1, w0_total / 2)
+      << "worker 0 ran " << w0_before_w1 << " of its " << w0_total
+      << " acquires before worker 1's first";
+}
+
+TEST(RtRuntime, ManyShortCrossWorkerRunsAllFinish) {
+  // Lost-wakeup regression. Every post on a star crosses workers, so the
+  // scheduled-flag handshake between a sender and a draining owner runs
+  // thousands of times per run. When the owner cleared the flag with a plain
+  // store, the store could wait in the store buffer while the owner read an
+  // empty mailbox and the sender read the old flag: the message was never
+  // delivered and the run spun forever, usually within the first thousand
+  // runs on a 4-core host. The hung workers cannot be joined, so a watchdog
+  // ends the process.
+  std::vector<NodeId> parent(32, 0);
+  parent[0] = kNoNode;
+  const Tree star = Tree::from_parents(std::move(parent), 0);
+  RtConfig cfg;
+  cfg.threads = 4;
+  cfg.rounds_per_node = 20;
+  cfg.record_history = false;
+  auto runs = std::async(std::launch::async, [&] {
+    for (int i = 0; i < 2000; ++i)
+      if (run_runtime(star, cfg).ops != 32 * 20) return false;
+    return true;
+  });
+  if (runs.wait_for(std::chrono::seconds(300)) == std::future_status::timeout) {
+    std::fprintf(stderr, "runtime runs did not finish: a wakeup was lost\n");
+    std::_Exit(1);
+  }
+  EXPECT_TRUE(runs.get());
 }
 
 TEST(RtRuntime, CounterAppMatchesChainPositions) {
