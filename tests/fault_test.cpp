@@ -3,11 +3,14 @@
 // graceful degradation, and thread-count invariance of faulty sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "arrow/arrow.hpp"
+#include "arrow/closed_loop.hpp"
 #include "exp/experiment.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
@@ -534,6 +537,113 @@ TEST(FaultProperty, TopologyFaultsRefuseShardingAndImplicitTier) {
   ok.fault = FaultSpec::loss(0.1);
   ok.shards = 2;
   EXPECT_FALSE(validate_experiment(ok.with_seed(1)).has_value());
+}
+
+// --- topology-fault pins ----------------------------------------------------
+
+// Bit-for-bit pins for crash, partition, churn and chaos runs of both arrow
+// drivers, folded with golden_test.cpp's FNV-1a. The property tests above
+// only check quiescence and exactly-once completion; these catch any change
+// to the recovery waves' schedule, RNG draws or tail adoption. The pins were
+// recorded before the recovery wave moved into arrow/recovery.hpp.
+// Regenerate only on an intentional behavior change: run with
+// --gtest_also_run_disabled_tests and copy DISABLED_PrintTopologyFaultPins.
+
+/// crash:2, partition:2, churn:5 and chaos.
+FaultSpec pinned_fault(int k, int seed) {
+  FaultSpec f = k == 0   ? FaultSpec::crash(2)
+                : k == 1 ? FaultSpec::partition(2)
+                : k == 2 ? FaultSpec::churn(5.0)
+                         : FaultSpec::chaos();
+  f.seed = 1000 + static_cast<std::uint64_t>(seed);
+  return f;
+}
+
+constexpr int kPinnedFaults = 4;
+// testutil instances on which every pinned schedule fires before the run ends.
+constexpr int kOneShotPinSeeds[] = {3, 7, 9, 13};
+constexpr int kLoopPinSeeds[] = {1, 4, 9, 14};
+
+/// One-shot arrow: every completion record, the post-run links and sink,
+/// the message count and the makespan.
+std::uint64_t one_shot_fault_hash(int seed, int k) {
+  auto inst = testutil::make_tree_instance(seed);
+  SynchronousLatency sync;
+  ArrowEngine engine(inst.tree, sync);
+  engine.set_fault(pinned_fault(k, seed));
+  QueuingOutcome out = engine.run(inst.requests);
+  testutil::Fnv1a h;
+  for (RequestId id = 1; id <= out.request_count(); ++id) {
+    const Completion& c = out.completion(id);
+    h.add_signed(c.predecessor);
+    h.add_signed(c.completed_at);
+    h.add_signed(c.hops);
+    h.add_signed(c.distance);
+  }
+  for (NodeId link : engine.links()) h.add_signed(link);
+  h.add_signed(engine.sink_node());
+  h.add(engine.messages_sent());
+  h.add_signed(engine.sim().now());
+  return h.value();
+}
+
+/// Closed-loop arrow: makespan, message counts and the mean round latency.
+std::uint64_t loop_fault_hash(int seed, int k) {
+  auto inst = testutil::make_tree_instance(seed);
+  SynchronousLatency sync;
+  ClosedLoopConfig cfg;
+  cfg.requests_per_node = 20;
+  cfg.fault = pinned_fault(k, seed);
+  ClosedLoopResult res = run_arrow_closed_loop(inst.tree, sync, cfg);
+  testutil::Fnv1a h;
+  h.add_signed(res.makespan);
+  h.add(res.tree_messages);
+  h.add(res.notify_messages);
+  h.add(std::bit_cast<std::uint64_t>(res.avg_round_latency_units));
+  return h.value();
+}
+
+// One row per pin seed; columns crash, partition, churn, chaos.
+constexpr std::uint64_t kOneShotFaultPins[4][kPinnedFaults] = {
+    {0x167157bd56aadc94ULL, 0xda29ce8071510bc1ULL, 0xa68692ffbd22e415ULL, 0x6e4336fb643f37d1ULL},
+    {0x6565fef5b8567a95ULL, 0x6782d8d2f6eb1aa1ULL, 0x8373615ad1c73d3eULL, 0xba87e79c033ca7e1ULL},
+    {0xbd658a344aae302bULL, 0x8404ce67df0927c0ULL, 0xa682e4d23ed3bec0ULL, 0xff426dd54faf132cULL},
+    {0x39c0645e405f4763ULL, 0x1af716ce94845c9dULL, 0xd5fb44c897548d24ULL, 0x6665be087eaa5e3aULL},
+};
+constexpr std::uint64_t kLoopFaultPins[4][kPinnedFaults] = {
+    {0x35b6b595d36a8077ULL, 0xbc84d8ceac3a830fULL, 0xf57b851c8a54d42eULL, 0xb82e04cffe9a104eULL},
+    {0xf8c6519d6bc7214bULL, 0x326fc2c2eb1c6c3eULL, 0x489d553a8d69c071ULL, 0x8b7c65d6b1611267ULL},
+    {0x8079b936727f3f01ULL, 0x5f1da353bee43ceaULL, 0x62155df847a19e52ULL, 0x0b0a0f609d452078ULL},
+    {0x3893b75918d26f4bULL, 0x22660f39c7c1f314ULL, 0x6fe068f350ac2538ULL, 0xe173fe74ac62e8a0ULL},
+};
+
+TEST(TopologyFaultPins, ArrowOneShot) {
+  for (int i = 0; i < 4; ++i)
+    for (int k = 0; k < kPinnedFaults; ++k)
+      EXPECT_EQ(one_shot_fault_hash(kOneShotPinSeeds[i], k), kOneShotFaultPins[i][k])
+          << "seed " << kOneShotPinSeeds[i] << " fault " << pinned_fault(k, 0).name();
+}
+
+TEST(TopologyFaultPins, ArrowClosedLoop) {
+  for (int i = 0; i < 4; ++i)
+    for (int k = 0; k < kPinnedFaults; ++k)
+      EXPECT_EQ(loop_fault_hash(kLoopPinSeeds[i], k), kLoopFaultPins[i][k])
+          << "seed " << kLoopPinSeeds[i] << " fault " << pinned_fault(k, 0).name();
+}
+
+TEST(TopologyFaultPins, DISABLED_PrintTopologyFaultPins) {
+  std::printf("kOneShotFaultPins:\n");
+  for (int s : kOneShotPinSeeds) {
+    for (int k = 0; k < kPinnedFaults; ++k)
+      std::printf("0x%016llxULL, ", static_cast<unsigned long long>(one_shot_fault_hash(s, k)));
+    std::printf("\n");
+  }
+  std::printf("kLoopFaultPins:\n");
+  for (int s : kLoopPinSeeds) {
+    for (int k = 0; k < kPinnedFaults; ++k)
+      std::printf("0x%016llxULL, ", static_cast<unsigned long long>(loop_fault_hash(s, k)));
+    std::printf("\n");
+  }
 }
 
 // --- baselines: graceful degradation ---------------------------------------

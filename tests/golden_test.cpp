@@ -29,20 +29,7 @@
 namespace arrowdq {
 namespace {
 
-class Fnv1a {
- public:
-  void add(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (x >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_signed(std::int64_t x) { add(static_cast<std::uint64_t>(x)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using testutil::Fnv1a;
 
 void hash_outcome(Fnv1a& h, const QueuingOutcome& out) {
   for (RequestId id : out.order()) h.add_signed(id);

@@ -23,6 +23,22 @@
 namespace arrowdq {
 namespace testutil {
 
+/// 64-bit FNV-1a over little-endian words: the fold every golden pin uses.
+class Fnv1a {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add_signed(std::int64_t x) { add(static_cast<std::uint64_t>(x)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
 /// Decorrelated per-case RNG for parameterized sweeps: nearby seeds map to
 /// distant states.
 inline Rng seeded_rng(int seed, std::uint64_t salt = 0) {
