@@ -39,10 +39,11 @@
 //               min/max/ci_lo/ci_hi per metric at 95% confidence
 //               (Student-t intervals at R-1 degrees of freedom)
 //   --shards    intra-run shard count for the conservative parallel engine
-//               (sim/parallel/): every cell with a sharded mirror — arrow and
+//               (sim/parallel/): every cell with a sharded entry — arrow and
 //               forwarding in both modes — runs on K lanes with bit-identical
-//               results; token passing, closed-loop centralized and crash
-//               cells stay serial. Default 0 inherits ARROWDQ_SIM_SHARDS.
+//               results; token passing, closed-loop centralized and
+//               topology-fault cells stay serial. Default 0 inherits
+//               ARROWDQ_SIM_SHARDS.
 //   --rt        real-thread runtime pass (src/rt/): re-run each fault-free
 //               arrow-loop cell on T worker threads (0 = all cores), check
 //               the recorded history for linearizability, and attach a
@@ -329,7 +330,7 @@ int usage() {
                "  numeric flags take checked values: garbage or out-of-range input is\n"
                "  rejected with exit code 2, never silently coerced\n"
                "  --replicas >= 2 folds per-cell statistics (mean/stddev/CI) into the JSON\n"
-               "  --shards K runs every cell with a sharded mirror on K lanes (arrow and\n"
+               "  --shards K runs every cell with a sharded entry on K lanes (arrow and\n"
                "  forwarding, both modes; bit-identical results; topology-fault cells\n"
                "  (crash/partition/churn), token passing and closed-loop centralized stay\n"
                "  serial)\n"
@@ -675,13 +676,15 @@ int main(int argc, char** argv) {
                 e.rounds = opt.reqs_per_node;
               else
                 e.workload = workload;
-              // Shard every cell with a sharded mirror; the rest stay serial
-              // rather than failing validation. The mirror matrix (see
-              // shardable() in exp/experiment.cpp): arrow both modes and
-              // forwarding both modes shard; token passing is inherently
-              // serial and CLI "centralized" is always closed-loop (no
-              // sharded mirror for its reply loop); topology-fault schedules
-              // (crash, partition, churn) force serial everywhere.
+              // Shard every cell the sharded engine can run; the rest stay
+              // serial rather than failing validation (the same rule as
+              // shardable() in exp/experiment.cpp). Arrow and forwarding
+              // shard in both modes — each runs its one driver class on
+              // either engine. Token passing is inherently serial, CLI
+              // "centralized" is always the closed loop (no sharded entry),
+              // and topology-fault schedules (crash, partition, churn) force
+              // serial everywhere: their recovery waves are global pointer
+              // rewrites.
               const bool can_shard =
                   !fault.has_topology_faults() && proto.kind != Protocol::kTokenPassing &&
                   !(proto.kind == Protocol::kCentralized && is_loop_token(proto_str));

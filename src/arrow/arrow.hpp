@@ -97,8 +97,10 @@ class ArrowEngine {
   std::int32_t reselections() const { return reselections_; }
 
  private:
-  /// Reset per-run protocol state (pointers, ids, simulator) for `requests`.
-  void prepare(const RequestSet& requests);
+  /// One run on `Engine` (SerialEngine or DynamicSerialEngine); the driver
+  /// resets the pointer/id state for `requests`.
+  template <typename Engine, typename Latency>
+  QueuingOutcome run_with(const RequestSet& requests, Latency latency);
 
   const Tree& tree_;
   LatencyModel& latency_;

@@ -1,118 +1,14 @@
 #include "baseline/pointer_forwarding.hpp"
 
-#include <vector>
+#include <utility>
 
-#include "graph/generators.hpp"
-#include "sim/network.hpp"
+#include "baseline/drivers.hpp"
 #include "sim/simulator.hpp"
 #include "support/assert.hpp"
-#include "support/stats.hpp"
 
 namespace arrowdq {
 
 namespace {
-
-struct FindMsg {
-  RequestId req = kNoRequest;
-  NodeId requester = kNoNode;
-  std::int32_t hops = 0;
-  Weight dist_units = 0;
-};
-
-template <typename Dist, typename Faults>
-struct Forwarder;
-
-template <typename Dist, typename Faults>
-struct ForwardHandler {
-  Forwarder<Dist, Faults>* d = nullptr;
-  inline void operator()(NodeId from, NodeId at, const FindMsg& m) const;
-};
-
-/// Driver state: pointer hints plus the typed-handler network. Only
-/// send_with_latency is used (arbitrary node pairs on the complete
-/// communication graph), so the sampler is a stateless placeholder; the
-/// distance oracle is a value type, so the standard unit/APSP draws are
-/// direct calls (no std::function on the run path). The Faults parameter
-/// mirrors the arrow drivers: the fault branch compiles out under NoFaults.
-template <typename Dist, typename Faults>
-struct Forwarder {
-  Graph placeholder;
-  Simulator sim;
-  Network<FindMsg, SyncSampler, ForwardHandler<Dist, Faults>, Faults> net;
-  Dist dist;
-  const PointerForwardingConfig& config;
-  QueuingOutcome& out;
-  std::vector<NodeId> hint;
-  std::vector<RequestId> last_req;
-  std::int32_t hop_cap;
-
-  Forwarder(NodeId node_count, const RequestSet& requests, Dist dist_fn, Faults faults,
-            const PointerForwardingConfig& cfg, QueuingOutcome& out_ref)
-      : placeholder(make_path(node_count)),
-        net(placeholder, sim, SyncSampler{}, std::move(faults)),
-        dist(dist_fn),
-        config(cfg),
-        out(out_ref),
-        hint(static_cast<std::size_t>(node_count)),
-        last_req(static_cast<std::size_t>(node_count), kNoRequest),
-        // A single find visits each node at most a few times even under
-        // heavy concurrency; this cap only exists to turn a protocol bug
-        // into a loud failure instead of a hang.
-        hop_cap(8 * node_count + 16) {
-    sim.reserve(2 * static_cast<std::size_t>(requests.size()) + 2);
-    net.reserve_messages(static_cast<std::size_t>(requests.size()) + 1);
-    net.set_service_time(cfg.service_time);
-    for (NodeId v = 0; v < node_count; ++v)
-      hint[static_cast<std::size_t>(v)] = cfg.initial_owner;
-    last_req[static_cast<std::size_t>(cfg.initial_owner)] = kRootRequest;
-  }
-
-  struct IssueEvent {
-    Forwarder* d;
-    Request r;
-    void operator()() const { d->issue(r); }
-  };
-  static_assert(Simulator::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
-
-  void issue(const Request& r) {
-    auto vi = static_cast<std::size_t>(r.node);
-    if (hint[vi] == r.node) {
-      RequestId pred = last_req[vi];
-      ARROWDQ_ASSERT(pred != kNoRequest);
-      last_req[vi] = r.id;
-      out.record(Completion{r.id, pred, sim.now(), 0, 0});
-      return;
-    }
-    NodeId target = hint[vi];
-    last_req[vi] = r.id;
-    hint[vi] = r.node;
-    Weight leg = ticks_to_units(dist(r.node, target));
-    net.send_with_latency(r.node, target, dist(r.node, target), FindMsg{r.id, r.node, 1, leg});
-  }
-
-  void handle(NodeId from, NodeId at, const FindMsg& m) {
-    ARROWDQ_ASSERT_MSG(m.hops <= hop_cap, "pointer-forwarding find did not terminate");
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = hint[ui];
-    hint[ui] = config.mode == ForwardingMode::kCompressToRequester ? m.requester : from;
-    if (next == at) {
-      RequestId pred = last_req[ui];
-      ARROWDQ_ASSERT(pred != kNoRequest);
-      out.record(Completion{m.req, pred, sim.now(), m.hops, m.dist_units});
-      return;
-    }
-    Weight leg = ticks_to_units(dist(at, next));
-    net.send_with_latency(at, next, dist(at, next),
-                          FindMsg{m.req, m.requester, m.hops + 1, m.dist_units + leg});
-  }
-};
-
-template <typename Dist, typename Faults>
-inline void ForwardHandler<Dist, Faults>::operator()(NodeId from, NodeId at,
-                                                     const FindMsg& m) const {
-  d->handle(from, at, m);
-}
 
 template <typename Dist>
 QueuingOutcome run_pointer_forwarding_impl(NodeId node_count, const RequestSet& requests,
@@ -126,162 +22,14 @@ QueuingOutcome run_pointer_forwarding_impl(NodeId node_count, const RequestSet& 
   QueuingOutcome out(requests.size());
   with_fault_filter(config.fault, node_count, [&](auto filt) {
     using F = decltype(filt);
-    Forwarder<Dist, F> driver(node_count, requests, dist, std::move(filt), config, out);
-    driver.net.set_handler(ForwardHandler<Dist, F>{&driver});
-    for (const Request& r : requests.real()) {
-      ARROWDQ_ASSERT_MSG(r.node >= 0 && r.node < node_count, "request from a non-node");
-      driver.sim.at(r.time, typename Forwarder<Dist, F>::IssueEvent{&driver, r});
-    }
-    driver.sim.run();
-    if constexpr (F::kActive) {
-      if (config.fault_stats_out != nullptr) *config.fault_stats_out = driver.net.faults().stats();
-    } else {
-      if (config.fault_stats_out != nullptr) *config.fault_stats_out = FaultStats{};
-    }
+    const DirectOnlyIndex index{node_count};
+    Simulator sim;
+    Forwarder<SerialEngine, Dist, F> driver(index, requests, dist, config,
+                                            out, std::move(filt), {&sim});
+    driver.run();
   });
   ARROWDQ_ASSERT_MSG(out.is_complete(), "pointer forwarding did not complete all requests");
   return out;
-}
-
-// --- closed loop ------------------------------------------------------------
-
-enum class LoopKind : std::uint8_t { kFind, kReply };
-
-struct LoopMsg {
-  LoopKind kind = LoopKind::kFind;
-  RequestId req = kNoRequest;
-  NodeId requester = kNoNode;
-  std::int32_t hops = 0;
-};
-
-template <typename Dist, typename Faults>
-struct LoopForwarder;
-
-template <typename Dist, typename Faults>
-struct LoopForwardHandler {
-  LoopForwarder<Dist, Faults>* d = nullptr;
-  inline void operator()(NodeId from, NodeId at, const LoopMsg& m) const;
-};
-
-/// Closed-loop pointer forwarding: the hint/last_req core is the one-shot
-/// Forwarder's, the round structure (one outstanding request per node,
-/// re-issue one service interval after the predecessor identity arrives)
-/// mirrors the arrow closed-loop Driver. The reply is a direct message with
-/// latency dG(owner, requester); a locally satisfied request replies with
-/// zero latency, exactly like the arrow loop's local case.
-template <typename Dist, typename Faults>
-struct LoopForwarder {
-  Graph placeholder;
-  Simulator sim;
-  Network<LoopMsg, SyncSampler, LoopForwardHandler<Dist, Faults>, Faults> net;
-  Dist dist;
-  const PointerForwardingConfig& config;
-  std::int64_t requests_per_node;
-  std::vector<NodeId> hint;
-  std::vector<RequestId> last_req;
-  std::vector<std::int64_t> issued;
-  std::vector<Time> issue_time;
-  // Exact integer latency sum (not a Welford accumulator): integer addition
-  // is order-free, so the sharded engine's per-lane sums reproduce this
-  // average bit for bit for any shard count.
-  __int128 latency_sum = 0;
-  std::int64_t latency_count = 0;
-  std::uint64_t find_messages = 0;
-  std::uint64_t reply_messages = 0;
-  RequestId next_id = kRootRequest;
-  std::int32_t hop_cap;
-
-  LoopForwarder(NodeId node_count, std::int64_t reqs_per_node, Dist dist_fn, Faults faults,
-                const PointerForwardingConfig& cfg)
-      : placeholder(make_path(node_count)),
-        net(placeholder, sim, SyncSampler{}, std::move(faults)),
-        dist(dist_fn),
-        config(cfg),
-        requests_per_node(reqs_per_node),
-        hint(static_cast<std::size_t>(node_count)),
-        last_req(static_cast<std::size_t>(node_count), kNoRequest),
-        issued(static_cast<std::size_t>(node_count), 0),
-        issue_time(static_cast<std::size_t>(node_count), 0),
-        hop_cap(8 * node_count + 16) {
-    // One outstanding request per node bounds pending events/messages to O(n).
-    const auto n = static_cast<std::size_t>(node_count);
-    sim.reserve(4 * n);
-    net.reserve_messages(2 * n);
-    net.set_service_time(cfg.service_time);
-    for (NodeId v = 0; v < node_count; ++v)
-      hint[static_cast<std::size_t>(v)] = cfg.initial_owner;
-    last_req[static_cast<std::size_t>(cfg.initial_owner)] = kRootRequest;
-  }
-
-  struct IssueEvent {
-    LoopForwarder* d;
-    NodeId v;
-    void operator()() const { d->issue(v); }
-  };
-  static_assert(Simulator::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
-
-  void issue(NodeId v) {
-    auto vi = static_cast<std::size_t>(v);
-    if (issued[vi] >= requests_per_node) return;
-    ++issued[vi];
-    issue_time[vi] = sim.now();
-    RequestId a = ++next_id;
-    if (hint[vi] == v) {
-      ARROWDQ_ASSERT(last_req[vi] != kNoRequest);
-      last_req[vi] = a;
-      round_done(v);  // predecessor found locally: the reply is local too
-      return;
-    }
-    NodeId target = hint[vi];
-    last_req[vi] = a;
-    hint[vi] = v;
-    ++find_messages;
-    net.send_with_latency(v, target, dist(v, target), LoopMsg{LoopKind::kFind, a, v, 1});
-  }
-
-  void handle(NodeId from, NodeId at, const LoopMsg& m) {
-    if (m.kind == LoopKind::kReply) {
-      round_done(at);
-      return;
-    }
-    ARROWDQ_ASSERT_MSG(m.hops <= hop_cap, "pointer-forwarding find did not terminate");
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = hint[ui];
-    hint[ui] = config.mode == ForwardingMode::kCompressToRequester ? m.requester : from;
-    if (next == at) {
-      // Owner found; return the predecessor identity to the requester (the
-      // reply's req field carries last_req, not the requester's own id —
-      // it is what the requester "learns", though only the arrival instant
-      // drives the round structure).
-      ARROWDQ_ASSERT(last_req[ui] != kNoRequest);
-      if (m.requester == at) {
-        round_done(at);
-      } else {
-        ++reply_messages;
-        net.send_with_latency(at, m.requester, dist(at, m.requester),
-                              LoopMsg{LoopKind::kReply, last_req[ui], m.requester, 0});
-      }
-      return;
-    }
-    ++find_messages;
-    net.send_with_latency(at, next, dist(at, next),
-                          LoopMsg{LoopKind::kFind, m.req, m.requester, m.hops + 1});
-  }
-
-  void round_done(NodeId v) {
-    latency_sum += sim.now() - issue_time[static_cast<std::size_t>(v)];
-    ++latency_count;
-    // Re-issue through the event loop: preparing the next request costs one
-    // service interval of local CPU time (same rule as the arrow loop).
-    sim.in(config.service_time, IssueEvent{this, v});
-  }
-};
-
-template <typename Dist, typename Faults>
-inline void LoopForwardHandler<Dist, Faults>::operator()(NodeId from, NodeId at,
-                                                         const LoopMsg& m) const {
-  d->handle(from, at, m);
 }
 
 template <typename Dist>
@@ -295,33 +43,11 @@ ForwardingLoopResult run_pointer_forwarding_closed_loop_impl(
 
   return with_fault_filter(config.fault, node_count, [&](auto filt) {
     using F = decltype(filt);
-    LoopForwarder<Dist, F> driver(node_count, requests_per_node, dist, std::move(filt), config);
-    driver.net.set_handler(LoopForwardHandler<Dist, F>{&driver});
-    for (NodeId v = 0; v < node_count; ++v)
-      driver.sim.at(0, typename LoopForwarder<Dist, F>::IssueEvent{&driver, v});
-    driver.sim.run();
-
-    ForwardingLoopResult res;
-    res.makespan = driver.sim.now();
-    res.total_requests = static_cast<std::int64_t>(node_count) * requests_per_node;
-    res.find_messages = driver.find_messages;
-    res.reply_messages = driver.reply_messages;
-    res.avg_hops_per_request =
-        res.total_requests == 0
-            ? 0.0
-            : static_cast<double>(res.find_messages) / static_cast<double>(res.total_requests);
-    res.avg_round_latency_units =
-        driver.latency_count == 0 ? 0.0
-                                  : static_cast<double>(driver.latency_sum) /
-                                        static_cast<double>(driver.latency_count) /
-                                        static_cast<double>(kTicksPerUnit);
-    if constexpr (F::kActive) {
-      res.messages_dropped = driver.net.faults().stats().messages_dropped;
-      res.messages_duplicated = driver.net.faults().stats().messages_duplicated;
-      res.crashes = static_cast<std::int32_t>(driver.net.faults().crashes().size());
-      res.partition_backlog = driver.net.faults().stats().partition_deferred;
-    }
-    return res;
+    const DirectOnlyIndex index{node_count};
+    Simulator sim;
+    LoopForwarder<SerialEngine, Dist, F> driver(index, requests_per_node,
+                                                dist, config, std::move(filt), {&sim});
+    return driver.run();
   });
 }
 

@@ -402,11 +402,12 @@ int env_shards() {
   return cached;
 }
 
-/// Whether a sharded mirror exists for this scenario. Token passing replays
-/// an analytic total order (inherently serial), the centralized closed loop
-/// has no mirror, and topology-fault schedules (crash, partition, churn)
-/// cannot run inside safe windows — their recovery waves are global pointer
-/// rewrites.
+/// Whether the sharded engine can run this scenario: its protocol has a
+/// sharded entry (sim/parallel/parallel.hpp) and its schedule has no
+/// topology fault. Token passing replays an analytic total order
+/// (inherently serial), the centralized closed loop has no sharded entry,
+/// and topology-fault schedules (crash, partition, churn) cannot run inside
+/// safe windows — their recovery waves are global pointer rewrites.
 bool shardable(const Experiment& e) {
   if (e.fault.has_topology_faults()) return false;
   switch (e.protocol.kind) {
@@ -446,8 +447,9 @@ RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r
   auto model = e.latency.make();
   const int shards = effective_shards(e);
   if (shards > 1) {
-    // Sharded mirror (crash schedules were refused up front, so the outcome
-    // keeps a total order and validates like the fault-free serial path).
+    // Sharded engine (topology-fault schedules were refused up front, so the
+    // outcome keeps a total order and validates like the fault-free serial
+    // path).
     ShardSpec spec;
     spec.shards = shards;
     ShardedArrowRun run = run_arrow_one_shot_sharded(r.tree, r.requests, *model,
@@ -794,12 +796,12 @@ std::optional<std::string> validate_experiment(const Experiment& e) {
   if (e.shards > 1) {
     if (e.protocol.kind == Protocol::kTokenPassing)
       return std::string(e.protocol.name()) +
-             ": shards > 1 has no mirror (the token replays an analytic total order, "
+             ": shards > 1 has no sharded entry (the token replays an analytic total order, "
              "which is inherently serial)";
     if (e.protocol.kind == Protocol::kCentralized && e.rounds > 0)
       return std::string(
           "centralized closed loop: shards > 1 supports the one-shot mode only "
-          "(no sharded mirror for the find-completion reply loop)");
+          "(no sharded entry for the find-completion reply loop)");
     if (e.fault.has_crash())
       return std::string(
           "shards > 1 cannot run a crash schedule (the recovery wave is a global "

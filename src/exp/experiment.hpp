@@ -418,13 +418,14 @@ struct Experiment {
   /// (sim/parallel/). Results are bit-identical to the serial core for any
   /// value, so this is purely a speed knob. 0 = inherit ARROWDQ_SIM_SHARDS
   /// (default 1; scenarios the parallel engine cannot run fall back to
-  /// serial silently). Sharded mirrors exist for the arrow closed loop,
-  /// one-shot arrow, one-shot centralized, and pointer forwarding in both
-  /// modes. Setting > 1 explicitly on the rest is validated: token passing
-  /// (the token replay is inherently serial), the centralized closed loop
-  /// (no mirror), and topology-fault schedules — crash, partition, churn
-  /// (their recovery waves are global pointer rewrites) — are
-  /// validate_experiment errors rather than silent fallbacks.
+  /// serial silently). The arrow closed loop, one-shot arrow, one-shot
+  /// centralized, and pointer forwarding in both modes shard: each runs its
+  /// one driver class on either engine. Setting > 1 explicitly on the rest
+  /// is validated: token passing (the token replay is inherently serial),
+  /// the centralized closed loop (no sharded entry), and topology-fault
+  /// schedules — crash, partition, churn (their recovery waves are global
+  /// pointer rewrites) — are validate_experiment errors rather than silent
+  /// fallbacks.
   int shards = 0;
 
   /// "protocol topology-n latency" summary used when `label` is empty.

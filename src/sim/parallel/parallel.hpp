@@ -3,17 +3,20 @@
 // the serial core for any shard count K (including K = 1, which runs the
 // identical window/merge machinery inline with no worker threads).
 //
-// Each entry mirrors its serial driver statement-for-statement on the
-// schedule-call path, so every observable — makespan, message counts,
-// completion records, exact latency sums — reproduces the serial run;
-// tests/parallel_test.cpp pins all 30 golden hashes through these entries at
-// K = 2 and K = 4 plus randomized K ∈ {1, 2, 4} property runs.
+// There is one driver class per protocol (arrow/drivers.hpp,
+// baseline/drivers.hpp). Each entry here runs the very class its serial
+// entry runs, on the sharded engine instead of the serial one, so every
+// observable — makespan, message counts, completion records, exact latency
+// sums — reproduces the serial run; tests/parallel_test.cpp pins all 30
+// golden hashes through these entries at K = 2 and K = 4 plus randomized
+// K ∈ {1, 2, 4} property runs.
 //
 // Restrictions relative to the serial drivers:
-//  * Crash faults are not supported (the recovery wave is a global pointer
-//    rewrite that cannot run inside a safe window); message faults (loss,
-//    duplication, jitter, spikes) are fully supported — the filter's single
-//    RNG stream is consumed at window barriers in exact serial order.
+//  * Topology faults — crash, partition and churn schedules — are refused
+//    (asserted): their recovery waves are global pointer rewrites that
+//    cannot run inside a safe window. Message faults (loss, duplication,
+//    jitter, spikes) are fully supported — the filter's single RNG stream is
+//    consumed at window barriers in exact serial order.
 //  * Direct sends must carry latency >= 1 tick (asserted), and a custom
 //    ClosedLoopConfig::notify_latency must be pure and thread-safe — lanes
 //    evaluate it concurrently.

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "proto/queuing.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
@@ -66,17 +67,10 @@
 
 namespace arrowdq {
 
-/// Index stand-in for drivers that never send over graph edges (the
-/// centralized and pointer-forwarding baselines only use explicit-latency
-/// direct sends against a distance oracle).
-struct DirectOnlyIndex {
-  NodeId n = 0;
-  NodeId node_count() const { return n; }
-  std::size_t dir_edge_count() const { return 0; }
-  DirEdgeRef find_edge(NodeId, NodeId) const {
-    ARROWDQ_ASSERT_MSG(false, "direct-only driver sent over a graph edge");
-    return DirEdgeRef{};
-  }
+/// The shard partition and the safe-window width (lookahead.hpp).
+struct ShardSetup {
+  ShardPartition partition;
+  Time lookahead = 1;
 };
 
 template <typename M, typename Latency, typename Handler, typename Faults,
@@ -87,6 +81,8 @@ class ShardedNetSim {
                 "network message types must be trivially copyable");
 
   using Sim = BasicSimulator<BucketedEventQueue>;  // 48-byte inline slots
+  static constexpr bool kSharded = true;
+  using Setup = ShardSetup;
 
   /// Provisional in-window keys live above every real sequence number the
   /// merge can allocate (asserted), so a time bucket receiving final seqs
@@ -97,13 +93,12 @@ class ShardedNetSim {
 
   class LaneCtx;
 
-  ShardedNetSim(const Index& index, Latency latency, Faults faults,
-                ShardPartition partition, Time lookahead)
+  ShardedNetSim(const Index& index, Latency latency, Faults faults, Setup setup)
       : index_(index),
         latency_(std::move(latency)),
         faults_(std::move(faults)),
-        partition_(std::move(partition)),
-        lookahead_(std::max<Time>(1, lookahead)),
+        partition_(std::move(setup.partition)),
+        lookahead_(std::max<Time>(1, setup.lookahead)),
         fifo_ready_(index.dir_edge_count(), 0),
         busy_until_(static_cast<std::size_t>(index.node_count()), 0),
         lanes_(static_cast<std::size_t>(partition_.shard_count())) {
@@ -122,8 +117,9 @@ class ShardedNetSim {
     service_time_ = ticks;
   }
 
-  /// Capacity hint, split across lanes.
-  void reserve(std::size_t n_events) {
+  /// Capacity hint, split across lanes. Messages travel inline in their
+  /// delivery events, so the message hint is the serial pool's alone.
+  void reserve(std::size_t n_events, std::size_t /*n_msgs*/) {
     const std::size_t per = n_events / lanes_.size() + 16;
     for (Lane& l : lanes_) {
       l.sim.reserve(per);
@@ -138,6 +134,8 @@ class ShardedNetSim {
   Time makespan() const { return makespan_; }
   const NetworkStats& stats() const { return stats_; }
   const ParallelStats& parallel_stats() const { return stats_par_; }
+  /// Where LaneCtx::record's per-lane buffers land after the run.
+  void record_into(QueuingOutcome& out) { out_ = &out; }
   Faults& faults() { return faults_; }
   const Faults& faults() const { return faults_; }
 
@@ -167,11 +165,16 @@ class ShardedNetSim {
       window_loop([&pool](Time t_end) { pool.run_window(t_end); });
     }
     running_ = false;
-    for (const Lane& l : lanes_) stats_par_.events_executed += l.sim.events_executed();
+    for (Lane& l : lanes_) {
+      stats_par_.events_executed += l.sim.events_executed();
+      for (const Completion& c : l.done) out_->record(c);
+      l.done.clear();
+    }
   }
 
-  /// Per-lane driver-facing context: what Network + Simulator expose to a
-  /// serial driver, scoped to one shard.
+  /// The driver context (sim/engine.hpp) scoped to one shard: the same
+  /// calls SerialNetSim::LaneCtx makes on the serial core, logged here and
+  /// finalized at the barrier in serial order.
   class LaneCtx {
    public:
     LaneCtx(ShardedNetSim* eng, int lane) : eng_(eng), lane_(lane) {}
@@ -179,20 +182,20 @@ class ShardedNetSim {
     Time now() const { return eng_->lanes_[static_cast<std::size_t>(lane_)].sim.now(); }
     int lane() const { return lane_; }
 
-    /// Mirror of Network::send — logged here, finalized (latency sample,
-    /// fault draws, FIFO clamp, stats) at the barrier in serial order.
+    /// Network::send — logged here, finalized (latency sample, fault draws,
+    /// FIFO clamp, stats) at the barrier in serial order.
     void send(NodeId from, NodeId to, M msg) {
       eng_->log_call(lane_, LogKind::kEdgeSend, /*t_or_lat=*/0, SendRec{msg, from, to});
     }
 
-    /// Mirror of Network::send_with_latency. The sharded engine requires
-    /// latency >= the direct-send floor folded into the lookahead (>= 1).
+    /// Network::send_with_latency. The sharded engine requires latency >=
+    /// the direct-send floor folded into the lookahead (>= 1).
     void send_with_latency(NodeId from, NodeId to, Time latency, M msg) {
       ARROWDQ_ASSERT_MSG(latency >= 1, "sharded direct sends need latency >= 1 tick");
       eng_->log_call(lane_, LogKind::kDirectSend, latency, SendRec{msg, from, to});
     }
 
-    /// Mirror of Simulator::at for driver-local events (issue loops).
+    /// Simulator::at for driver-local events (issue loops).
     template <typename F>
     void at(Time t, F&& fn) {
       eng_->lane_at(lane_, t, std::forward<F>(fn));
@@ -201,6 +204,11 @@ class ShardedNetSim {
     void in(Time delay, F&& fn) {
       ARROWDQ_ASSERT(delay >= 0);
       at(now() + delay, std::forward<F>(fn));
+    }
+
+    /// A one-shot completion, buffered per lane and recorded after the run.
+    void record(const Completion& c) {
+      eng_->lanes_[static_cast<std::size_t>(lane_)].done.push_back(c);
     }
 
    private:
@@ -265,6 +273,7 @@ class ShardedNetSim {
     std::vector<LogEntry> log;
     std::vector<SendRec> sends;
     std::vector<FutRec> futs;
+    std::vector<Completion> done;  // LaneCtx::record buffer
     /// Final seq assigned to each provisional event of the current window.
     std::vector<std::uint64_t> resolve;
     std::uint32_t prov_count = 0;
@@ -525,7 +534,7 @@ class ShardedNetSim {
     }
   }
 
-  /// Serial mirror of Network::send, executed at the barrier in merged
+  /// The serial Network::send, executed at the barrier in merged
   /// (serial) order: sampler and fault RNG streams and the FIFO horizons
   /// see the draws in exactly the serial sequence.
   void finalize_edge_send(const LogEntry& e, const SendRec& s, std::uint64_t seq) {
@@ -583,6 +592,7 @@ class ShardedNetSim {
   Latency latency_;
   Faults faults_;
   Handler handler_{};
+  QueuingOutcome* out_ = nullptr;
   ShardPartition partition_;
   Time lookahead_;
   Time service_time_ = 0;
@@ -596,6 +606,13 @@ class ShardedNetSim {
   std::vector<std::size_t> head_;  // merge scratch
   NetworkStats stats_;
   ParallelStats stats_par_;
+};
+
+/// Engine selector (see SerialEngine in sim/engine.hpp). The lanes keep
+/// their own 48-byte-slot simulators, so the driver's Sim choice is unused.
+struct ShardedEngine {
+  template <typename M, typename L, typename H, typename F, typename I, typename S>
+  using Net = ShardedNetSim<M, L, H, F, I>;
 };
 
 }  // namespace arrowdq

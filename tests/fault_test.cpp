@@ -468,6 +468,45 @@ TEST(FaultProperty, ArrowHealsFromCombinedPartitionChurnSchedules) {
   }
 }
 
+TEST(FaultProperty, ArrowOneShotCrashRunsNeverCloseASuccessorCycle) {
+  // Seed 1010 on the geometric cell used to hang: after two crash waves a
+  // request's message reached a sink whose stored tail already lay in the
+  // request's own successor chain, the sink recorded it there, and the next
+  // chain-end walk spun on the cycle. Every run must finish, complete each
+  // request exactly once, and leave every successor walk finite.
+  auto expect_acyclic = [](Experiment e, int seed) {
+    e.keep_outcome = true;
+    const RunResult r = run_experiment(e.with_seed(seed));
+    ASSERT_TRUE(r.outcome.has_value()) << "seed " << seed;
+    const QueuingOutcome& out = *r.outcome;
+    EXPECT_TRUE(out.is_complete()) << "seed " << seed;
+    std::set<RequestId> preds;
+    for (RequestId id = 1; id <= out.request_count(); ++id)
+      preds.insert(out.completion(id).predecessor);
+    EXPECT_EQ(preds.size(), static_cast<std::size_t>(out.request_count())) << "seed " << seed;
+    for (RequestId id = kRootRequest; id <= out.request_count(); ++id) {
+      RequestId x = id;
+      int steps = 0;
+      while (out.successor_of(x) != kNoRequest && steps <= out.request_count()) {
+        x = out.successor_of(x);
+        ++steps;
+      }
+      EXPECT_LE(steps, out.request_count()) << "seed " << seed << ": cycle through " << id;
+    }
+  };
+  Experiment geo;
+  geo.protocol = ProtocolSpec::arrow_one_shot(64);
+  geo.topology = TopologySpec::geometric(256, 0, 0.3);
+  geo.latency = LatencySpec::synchronous();
+  geo.fault = FaultSpec::crash(2);
+  geo.workload = WorkloadSpec::poisson(512, 1.0, 0);
+  expect_acyclic(geo, 1010);
+  for (int seed = 1000; seed < 1008; ++seed) expect_acyclic(geo, seed);
+  Experiment tree = geo;
+  tree.topology = TopologySpec::random_tree(128, 0);
+  for (int seed = 1000; seed < 1008; ++seed) expect_acyclic(tree, seed);
+}
+
 TEST(FaultProperty, ClosedLoopDrainsPartitionBacklogAndCompletes) {
   // The closed-loop driver under partitions: every round completes exactly
   // once (n * rounds total), fired windows are reported, and any cross-cut
@@ -607,7 +646,9 @@ std::uint64_t loop_fault_hash(int seed, int k) {
 constexpr std::uint64_t kOneShotFaultPins[4][kPinnedFaults] = {
     {0x167157bd56aadc94ULL, 0xda29ce8071510bc1ULL, 0xa68692ffbd22e415ULL, 0x6e4336fb643f37d1ULL},
     {0x6565fef5b8567a95ULL, 0x6782d8d2f6eb1aa1ULL, 0x8373615ad1c73d3eULL, 0xba87e79c033ca7e1ULL},
-    {0xbd658a344aae302bULL, 0x8404ce67df0927c0ULL, 0xa682e4d23ed3bec0ULL, 0xff426dd54faf132cULL},
+    // Seed 9's crash, churn and chaos runs recorded a successor cycle before
+    // the sink-branch cycle guard; their pins were re-recorded with it.
+    {0x9af48242914a40dbULL, 0x8404ce67df0927c0ULL, 0x28da9bb94f7b69ccULL, 0x683f9226afca7ac4ULL},
     {0x39c0645e405f4763ULL, 0x1af716ce94845c9dULL, 0xd5fb44c897548d24ULL, 0x6665be087eaa5e3aULL},
 };
 constexpr std::uint64_t kLoopFaultPins[4][kPinnedFaults] = {

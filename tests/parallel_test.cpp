@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arrow/arrow.hpp"
@@ -447,7 +448,7 @@ TEST(ShardedExperiment, RegistryRoutingAndValidation) {
   }
   {
     // CLI "centralized" is always closed-loop; its reply loop has no
-    // sharded mirror, so shards > 1 stays a validation error there.
+    // sharded entry, so shards > 1 stays a validation error there.
     Experiment e = base;
     e.topology = TopologySpec::complete(32);
     e.protocol = ProtocolSpec::centralized(0);
@@ -471,10 +472,11 @@ TEST(ShardedExperiment, RegistryRoutingAndValidation) {
   }
 }
 
-// Every mirror wired through Experiment::shards beyond the original
+// Every sharded entry wired through Experiment::shards beyond the original
 // arrow-closed-loop path: one-shot arrow, centralized one-shot (rounds = 0),
-// and pointer forwarding in both modes and both loop shapes. Each must be
-// field-by-field identical to its serial run at K in {2, 4}.
+// and pointer forwarding in both modes and both loop shapes; the one-shot
+// baselines also under each message fault. Each must be field-by-field
+// identical to its serial run at K in {2, 4}.
 TEST(ShardedExperiment, NewlyWiredMirrorsMatchSerial) {
   auto expect_match = [](Experiment e, const char* what) {
     e = e.with_seed(23);
@@ -514,6 +516,16 @@ TEST(ShardedExperiment, NewlyWiredMirrorsMatchSerial) {
   central_os.workload = WorkloadSpec::poisson(30, 0.5, /*seed=*/0);
   expect_match(central_os, "centralized one-shot");
 
+  // Every message fault on the direct-send baselines: the filter's RNG
+  // stream is drawn at the barriers in serial order.
+  const FaultSpec message_faults[] = {FaultSpec::loss(0.1), FaultSpec::duplicate(0.1),
+                                      FaultSpec::jitter(0.2), FaultSpec::spike(0.1)};
+  for (const FaultSpec& fault : message_faults) {
+    Experiment faulty = central_os;
+    faulty.fault = fault;
+    expect_match(faulty, (std::string("centralized one-shot + ") + fault.name()).c_str());
+  }
+
   for (ForwardingMode mode :
        {ForwardingMode::kCompressToRequester, ForwardingMode::kReverseToSender}) {
     Experiment fwd_os;
@@ -521,9 +533,15 @@ TEST(ShardedExperiment, NewlyWiredMirrorsMatchSerial) {
     fwd_os.topology = TopologySpec::complete(40);
     fwd_os.latency = LatencySpec::uniform_async(/*seed=*/9, 0.2);
     fwd_os.workload = WorkloadSpec::poisson(30, 0.5, /*seed=*/0);
-    expect_match(fwd_os, mode == ForwardingMode::kCompressToRequester
-                             ? "forwarding one-shot (compress)"
-                             : "forwarding one-shot (reverse)");
+    const std::string what = mode == ForwardingMode::kCompressToRequester
+                                 ? "forwarding one-shot (compress)"
+                                 : "forwarding one-shot (reverse)";
+    expect_match(fwd_os, what.c_str());
+    for (const FaultSpec& fault : message_faults) {
+      Experiment faulty = fwd_os;
+      faulty.fault = fault;
+      expect_match(faulty, (what + " + " + fault.name()).c_str());
+    }
 
     Experiment fwd_loop = fwd_os;
     fwd_loop.workload = WorkloadSpec::one_shot_all();
@@ -531,6 +549,26 @@ TEST(ShardedExperiment, NewlyWiredMirrorsMatchSerial) {
     expect_match(fwd_loop, mode == ForwardingMode::kCompressToRequester
                                ? "forwarding closed loop (compress)"
                                : "forwarding closed loop (reverse)");
+  }
+}
+
+TEST(ShardedEntriesDeathTest, RefuseEveryTopologyFault) {
+  // Partition and churn waves rewrite pointers globally, like crash waves;
+  // a sharded entry handed one must die, not silently diverge from serial.
+  auto inst = testutil::make_tree_instance(5);
+  SynchronousLatency sync;
+  ShardSpec spec;
+  spec.shards = 2;
+  for (const FaultSpec& fault : {FaultSpec::partition(2), FaultSpec::churn(5.0)}) {
+    ClosedLoopConfig cfg;
+    cfg.requests_per_node = 4;
+    cfg.fault = fault;
+    EXPECT_DEATH(run_arrow_closed_loop_sharded(inst.tree, sync, cfg, spec),
+                 "topology-fault schedules")
+        << fault.name();
+    EXPECT_DEATH(run_arrow_one_shot_sharded(inst.tree, inst.requests, sync, 0, fault, spec),
+                 "topology-fault schedules")
+        << fault.name();
   }
 }
 
