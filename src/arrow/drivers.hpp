@@ -335,13 +335,7 @@ class LoopDriver {
         res.total_requests == 0
             ? 0.0
             : static_cast<double>(res.tree_messages) / static_cast<double>(res.total_requests);
-    __int128 lat_sum = 0;
-    for (const LaneAccum& a : accum_) lat_sum += a.lat_sum;
-    const std::int64_t lat_count = rounds_done();
-    res.avg_round_latency_units =
-        lat_count == 0 ? 0.0
-                       : static_cast<double>(lat_sum) / static_cast<double>(lat_count) /
-                             static_cast<double>(kTicksPerUnit);
+    res.avg_round_latency_units = mean_round_latency_units(accum_);
     if constexpr (Faults::kActive) {
       res.messages_dropped = eng_.faults().stats().messages_dropped;
       res.messages_duplicated = eng_.faults().stats().messages_duplicated;

@@ -281,22 +281,15 @@ class LoopForwarder {
     ForwardingLoopResult res;
     res.makespan = eng_.makespan();
     res.total_requests = static_cast<std::int64_t>(node_count_) * requests_per_node_;
-    __int128 lat_sum = 0;
-    std::int64_t lat_count = 0;
     for (const LaneAccum& a : accum_) {
       res.find_messages += a.find_messages;
       res.reply_messages += a.reply_messages;
-      lat_sum += a.lat_sum;
-      lat_count += a.lat_count;
     }
     res.avg_hops_per_request =
         res.total_requests == 0
             ? 0.0
             : static_cast<double>(res.find_messages) / static_cast<double>(res.total_requests);
-    res.avg_round_latency_units =
-        lat_count == 0 ? 0.0
-                       : static_cast<double>(lat_sum) / static_cast<double>(lat_count) /
-                             static_cast<double>(kTicksPerUnit);
+    res.avg_round_latency_units = mean_round_latency_units(accum_);
     if constexpr (Faults::kActive) {
       res.messages_dropped = eng_.faults().stats().messages_dropped;
       res.messages_duplicated = eng_.faults().stats().messages_duplicated;

@@ -31,6 +31,7 @@
 #include <functional>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "proto/queuing.hpp"
@@ -81,6 +82,19 @@ struct alignas(64) LaneAccum {
     return static_cast<RequestId>(1 + lane + static_cast<std::int64_t>(lane_count) * next_ctr++);
   }
 };
+
+/// Mean round latency in units from the lanes' exact sums (0 with no rounds).
+inline double mean_round_latency_units(const std::vector<LaneAccum>& lanes) {
+  __int128 sum = 0;
+  std::int64_t count = 0;
+  for (const LaneAccum& a : lanes) {
+    sum += a.lat_sum;
+    count += a.lat_count;
+  }
+  return count == 0 ? 0.0
+                    : static_cast<double>(sum) / static_cast<double>(count) /
+                          static_cast<double>(kTicksPerUnit);
+}
 
 /// The serial engine: one Simulator (borrowed, so a caller can read the
 /// clock after the run) and one Network behind the driver context.
