@@ -48,7 +48,7 @@ int main() {
       };
       report("arrow", run_arrow(t, load.reqs));
       report("centralized",
-             run_centralized(n, load.reqs, unit_dist_fn(), CentralizedConfig{0}));
+             run_centralized(n, load.reqs, unit_dist_fn(), CentralizedConfig{}));
       {
         PointerForwardingConfig cfg;
         cfg.mode = ForwardingMode::kCompressToRequester;

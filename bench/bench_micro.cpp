@@ -7,7 +7,6 @@
 #include <queue>
 
 #include "arrow/arrow.hpp"
-#include "sim/pairing_heap.hpp"
 #include "arrow/closed_loop.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanning_tree.hpp"
@@ -32,21 +31,6 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_PairingHeapPushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    PairingHeap<std::uint64_t> heap;
-    heap.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      heap.push({static_cast<Time>(mix64(i) % 100000), i}, i);
-    std::uint64_t sink = 0;
-    while (!heap.empty()) sink += heap.pop();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PairingHeapPushPop)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_BinaryHeapPushPop(benchmark::State& state) {
   struct Item {

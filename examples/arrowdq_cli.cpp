@@ -1,7 +1,8 @@
 // arrowdq_cli — compose an experiment from the command line.
 //
-//   $ ./arrowdq_cli --graph grid:6x6 --tree mst --load poisson:100:1.0 \
+//   $ ./arrowdq_cli --graph grid:6x6 --tree mst --load poisson:100:1.0
 //                   --protocol arrow --model sync --seed 7 [--csv]
+//   (one command line, wrapped here)
 //
 // Options
 //   --graph     path:N | ring:N | grid:RxC | torus:RxC | complete:N |

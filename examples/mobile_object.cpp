@@ -17,7 +17,6 @@ using namespace arrowdq;
 
 int main() {
   Rng rng(99);
-  const NodeId n = 64;
   Graph g = make_grid(8, 8);
   Tree t = shortest_path_tree(g, 0);
 

@@ -23,7 +23,10 @@ run at a tightened 15% tolerance (per-row, see RATIOS); the legacy speedup
 claim itself survives as the tiny-pooled-vs-tiny-legacy row at the default
 20%. Only ratios computable in *both* files are compared (schema additions
 never break the gate); a metric fails when its fresh speedup drops below
-(1 - tolerance) x its baseline speedup.
+(1 - tolerance) x its baseline speedup. The gated event-core rows are the
+bucketed default and the binary-heap reference; the network and Figure 10
+macro rows gate the statically dispatched default (the program's only
+dispatch path) against the legacy core.
 
 When both files carry a fig10_scale section (the implicit-topology scale
 tier), the fresh one is additionally schema-checked and each cell's
@@ -79,14 +82,9 @@ RATIOS = [
      "compact event core (32B vs 64B slots)", None),
     ("network.static.messages_per_sec", "network.legacy.messages_per_sec",
      "network static dispatch", None),
-    ("network.dynamic.messages_per_sec", "network.legacy.messages_per_sec",
-     "network dynamic dispatch", None),
     ("closed_loop_fig10.static.requests_per_sec",
      "closed_loop_fig10.legacy.requests_per_sec",
      "Figure 10 macro (static, default)", None),
-    ("closed_loop_fig10.dynamic.requests_per_sec",
-     "closed_loop_fig10.legacy.requests_per_sec",
-     "Figure 10 macro (dynamic)", None),
     ("sweep_scaling.threads_1.requests_per_sec",
      "closed_loop_fig10.legacy.requests_per_sec",
      "sweep @1 thread", None),

@@ -341,6 +341,13 @@ int usage() {
   return 2;
 }
 
+/// A spec token its parser rejected: name the flag and the token, then print
+/// the usage text (exit code 2).
+int invalid_spec(const char* flag, const std::string& token) {
+  std::fprintf(stderr, "%s: invalid spec '%s'\n", flag, token.c_str());
+  return usage();
+}
+
 /// Checked numeric flag value: parse failure prints the offending token and
 /// the usage text, then exits 2 — std::atoi's silent garbage-to-zero is
 /// exactly the bug class this replaces.
@@ -589,6 +596,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--smoke")) {
       opt.smoke = true;
     } else {
+      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
       return usage();
     }
   }
@@ -615,7 +623,7 @@ int main(int argc, char** argv) {
   const Time service = opt.service_divisor == 0 ? 0 : kTicksPerUnit / opt.service_divisor;
 
   WorkloadSpec workload;
-  if (!parse_workload(opt.workload, workload)) return usage();
+  if (!parse_workload(opt.workload, workload)) return invalid_spec("--workload", opt.workload);
 
   rt::RtApp rt_app = rt::RtApp::kMutex;
   if (!parse_rt_app(opt.rt_app, rt_app)) {
@@ -627,10 +635,7 @@ int main(int argc, char** argv) {
   std::vector<FaultSpec> fault_specs;
   for (const std::string& f : opt.faults) {
     auto spec = parse_fault_spec(f);
-    if (!spec) {
-      std::fprintf(stderr, "--fault: invalid spec '%s'\n", f.c_str());
-      return usage();
-    }
+    if (!spec) return invalid_spec("--fault", f);
     fault_specs.push_back(*spec);
   }
 
@@ -640,7 +645,7 @@ int main(int argc, char** argv) {
   std::uint64_t scenario_seed = opt.seed;
   for (const std::string& proto_str : opt.protocols) {
     ProtocolSpec proto;
-    if (!parse_protocol(proto_str, proto, service)) return usage();
+    if (!parse_protocol(proto_str, proto, service)) return invalid_spec("--protocol", proto_str);
     for (const std::string& topo_str : opt.topologies) {
       // grid:RxC / torus:RxC carry their own size; crossing them with
       // --nodes would just emit identical duplicate scenarios.
@@ -653,7 +658,7 @@ int main(int argc, char** argv) {
         std::vector<NodeId> rounded;
         for (NodeId n : sizes) {
           TopologySpec probe;
-          if (!parse_topology(topo_str, n, probe)) return usage();
+          if (!parse_topology(topo_str, n, probe)) return invalid_spec("--topology", topo_str);
           if (std::find(rounded.begin(), rounded.end(), probe.nodes) == rounded.end())
             rounded.push_back(probe.nodes);
         }
@@ -661,10 +666,10 @@ int main(int argc, char** argv) {
       }
       for (NodeId n : sizes) {
         TopologySpec topo;
-        if (!parse_topology(topo_str, n, topo)) return usage();
+        if (!parse_topology(topo_str, n, topo)) return invalid_spec("--topology", topo_str);
         for (const std::string& lat_str : opt.latencies) {
           LatencySpec lat;
-          if (!parse_latency(lat_str, lat)) return usage();
+          if (!parse_latency(lat_str, lat)) return invalid_spec("--latency", lat_str);
           for (const FaultSpec& fault : fault_specs) {
             for (int r = 0; r < opt.repeat; ++r) {
               Experiment e;

@@ -12,23 +12,19 @@ ArrowEngine::ArrowEngine(const Tree& tree, LatencyModel& latency)
 
 QueuingOutcome ArrowEngine::run(const RequestSet& requests) {
   return with_static_latency(latency_, [&](auto lat) {
-    return run_with<SerialEngine>(requests, std::move(lat));
+    return run_with(requests, std::move(lat));
   });
 }
 
-QueuingOutcome ArrowEngine::run_dynamic(const RequestSet& requests) {
-  return run_with<DynamicSerialEngine>(requests, VirtualSampler{latency_});
-}
-
-template <typename Engine, typename Latency>
+template <typename Latency>
 QueuingOutcome ArrowEngine::run_with(const RequestSet& requests, Latency latency) {
   sim_ = Simulator{};
   QueuingOutcome out(requests.size());
   with_fault_filter(fault_, tree_.node_count(), [&](auto filt) {
     using F = decltype(filt);
-    OneShotDriver<Engine, Latency, F> driver(tree_, tree_graph_, requests, fault_, service_time_,
-                                             link_, last_req_, out, std::move(latency),
-                                             std::move(filt), {&sim_});
+    OneShotDriver<SerialEngine, Latency, F> driver(tree_, tree_graph_, requests, fault_,
+                                                   service_time_, link_, last_req_, out,
+                                                   std::move(latency), std::move(filt), {&sim_});
     driver.run(requests);
     messages_ = driver.engine().stats().edge_messages;
     fault_stats_ = FaultStats{};

@@ -72,11 +72,6 @@ class ArrowEngine {
   /// devirtualized once per run and the network handler is a typed callable.
   QueuingOutcome run(const RequestSet& requests);
 
-  /// The same protocol forced onto the dynamically dispatched path (virtual
-  /// latency sampling + std::function handler). Tick-identical to run() by
-  /// construction; kept as the benchmark/test reference.
-  QueuingOutcome run_dynamic(const RequestSet& requests);
-
   /// Post-run pointer state (index = node, value = link target).
   const std::vector<NodeId>& links() const { return link_; }
   /// Post-run node that is the unique sink (the queue's tail location).
@@ -97,9 +92,9 @@ class ArrowEngine {
   std::int32_t reselections() const { return reselections_; }
 
  private:
-  /// One run on `Engine` (SerialEngine or DynamicSerialEngine); the driver
-  /// resets the pointer/id state for `requests`.
-  template <typename Engine, typename Latency>
+  /// One run with the concrete sampler `latency`; the driver resets the
+  /// pointer/id state for `requests`.
+  template <typename Latency>
   QueuingOutcome run_with(const RequestSet& requests, Latency latency);
 
   const Tree& tree_;

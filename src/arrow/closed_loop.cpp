@@ -10,14 +10,15 @@ namespace arrowdq {
 
 namespace {
 
-/// One closed-loop run of `topo` on `Engine`.
-template <typename Engine, typename Topo, typename Latency, typename Faults>
+/// One closed-loop run of `topo` on the serial engine.
+template <typename Topo, typename Latency, typename Faults>
 ClosedLoopResult run_loop(Topo topo, Latency latency, Faults faults,
                           const ClosedLoopConfig& config) {
   const typename Topo::Index index = topo.make_index();
   typename Topo::Sim sim;
-  LoopDriver<Engine, Latency, Faults, Topo> driver(std::move(topo), index, config,
-                                                   std::move(latency), std::move(faults), {&sim});
+  LoopDriver<SerialEngine, Latency, Faults, Topo> driver(std::move(topo), index, config,
+                                                         std::move(latency), std::move(faults),
+                                                         {&sim});
   return driver.run();
 }
 
@@ -28,8 +29,7 @@ ClosedLoopResult run_arrow_closed_loop(const Tree& tree, LatencyModel& latency,
   ARROWDQ_ASSERT_MSG(config.requests_per_node >= 0, "requests_per_node must be >= 0");
   return with_static_latency(latency, [&](auto lat) {
     return with_fault_filter(config.fault, tree.node_count(), [&](auto filt) {
-      return run_loop<SerialEngine>(MaterializedTopo{&tree}, std::move(lat), std::move(filt),
-                                    config);
+      return run_loop(MaterializedTopo{&tree}, std::move(lat), std::move(filt), config);
     });
   });
 }
@@ -44,18 +44,8 @@ ClosedLoopResult run_arrow_closed_loop_implicit(const ImplicitTopology& topo,
                      "topology-fault recovery requires a materialized tree");
   return with_static_latency(latency, [&](auto lat) {
     return with_fault_filter(config.fault, topo.n, [&](auto filt) {
-      return run_loop<SerialEngine>(ImplicitLoopTopo{topo}, std::move(lat), std::move(filt),
-                                    config);
+      return run_loop(ImplicitLoopTopo{topo}, std::move(lat), std::move(filt), config);
     });
-  });
-}
-
-ClosedLoopResult run_arrow_closed_loop_dynamic(const Tree& tree, LatencyModel& latency,
-                                               const ClosedLoopConfig& config) {
-  ARROWDQ_ASSERT_MSG(config.requests_per_node >= 0, "requests_per_node must be >= 0");
-  return with_fault_filter(config.fault, tree.node_count(), [&](auto filt) {
-    return run_loop<DynamicSerialEngine>(MaterializedTopo{&tree}, VirtualSampler{latency},
-                                         std::move(filt), config);
   });
 }
 

@@ -194,7 +194,6 @@ CentralizedLoopResult run_centralized_closed_loop(NodeId node_count,
                                                                    const CentralizedConfig&)
 ARROWDQ_CENTRALIZED_INSTANTIATE(UnitDist);
 ARROWDQ_CENTRALIZED_INSTANTIATE(ApspDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(FnDist);
 ARROWDQ_CENTRALIZED_INSTANTIATE(PathDist);
 ARROWDQ_CENTRALIZED_INSTANTIATE(RingDist);
 ARROWDQ_CENTRALIZED_INSTANTIATE(GridDist);

@@ -45,8 +45,8 @@ struct CentralizedConfig {
 /// distance draws); centralized.cpp explicitly instantiates it for every
 /// concrete oracle type in dist.hpp, so an unknown oracle fails at link
 /// time instead of silently type-erasing. The DistTicksFn overload probes
-/// for a wrapped oracle once per run (with_static_dist) and otherwise falls
-/// back to the type-erased per-message call.
+/// for a wrapped oracle once per run (with_static_dist) and refuses any
+/// other callable.
 template <typename Dist>
 QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests, Dist dist,
                                const CentralizedConfig& config);

@@ -2,15 +2,16 @@
 // (centralized, pointer forwarding), mirroring the two-tier latency design
 // of sim/latency.hpp.
 //
-// The *oracles* (UnitDist, ApspDist) are concrete value types with an inline
-// `operator()` — the statically dispatched tier the baseline drivers
-// template over, so the per-message distance draw is a direct, inlinable
-// call. The classic `DistTicksFn` (std::function) survives as the dynamic
-// tier for configuration and legacy call sites; `with_static_dist` bridges
-// the two *once per run* by probing the std::function's stored target
-// (unit_dist_fn / apsp_dist_fn wrap exactly these oracle types), falling
-// back to a FnDist adapter — which pays the type-erased call per message —
-// only for caller-supplied closures.
+// The *oracles* (UnitDist, ApspDist and the closed-form families below) are
+// concrete value types with an inline `operator()` — the statically
+// dispatched tier the baseline drivers template over, so the per-message
+// distance draw is a direct, inlinable call. The classic `DistTicksFn`
+// (std::function) survives as the dynamic tier for configuration and the
+// public entry points; `with_static_dist` bridges the two *once per run* by
+// probing the std::function's stored target (unit_dist_fn / apsp_dist_fn
+// wrap exactly these oracle types). A DistTicksFn holding anything else — a
+// caller's own closure — is refused with a diagnostic: there is no
+// per-message type-erased fallback.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <functional>
 
 #include "graph/shortest_paths.hpp"
+#include "support/assert.hpp"
 #include "support/types.hpp"
 
 namespace arrowdq {
@@ -38,14 +40,6 @@ struct ApspDist {
   const AllPairs* apsp = nullptr;
   Time operator()(NodeId u, NodeId v) const { return units_to_ticks(apsp->dist(u, v)); }
   const char* name() const { return "apsp"; }
-};
-
-/// Fallback oracle for arbitrary DistTicksFn closures: pays the type-erased
-/// call on every draw. The referenced function must outlive the oracle.
-struct FnDist {
-  const DistTicksFn* fn = nullptr;
-  Time operator()(NodeId u, NodeId v) const { return (*fn)(u, v); }
-  const char* name() const { return "fn"; }
 };
 
 // --- Closed-form oracles for the structured topology families --------------
@@ -123,9 +117,10 @@ DistTicksFn unit_dist_fn();
 
 /// One-time static dispatch: invoke `fn` with the concrete oracle stored in
 /// `dist` (unit_dist_fn and apsp_dist_fn wrap UnitDist/ApspDist, recovered
-/// via std::function::target), or with a FnDist adapter for anything else.
-/// The probe runs once per *run*; callers templated on the oracle type then
-/// draw distances with a direct call per message.
+/// via std::function::target). The probe runs once per *run*; callers
+/// templated on the oracle type then draw distances with a direct call per
+/// message. Any other stored callable aborts with a diagnostic (always on,
+/// Release included).
 template <typename Fn>
 decltype(auto) with_static_dist(const DistTicksFn& dist, Fn&& fn) {
   if (const UnitDist* p = dist.target<UnitDist>()) return fn(*p);
@@ -134,8 +129,10 @@ decltype(auto) with_static_dist(const DistTicksFn& dist, Fn&& fn) {
   if (const RingDist* p = dist.target<RingDist>()) return fn(*p);
   if (const GridDist* p = dist.target<GridDist>()) return fn(*p);
   if (const TorusDist* p = dist.target<TorusDist>()) return fn(*p);
-  if (const HypercubeDist* p = dist.target<HypercubeDist>()) return fn(*p);
-  return fn(FnDist{&dist});
+  const HypercubeDist* p = dist.target<HypercubeDist>();
+  ARROWDQ_ASSERT_MSG(p != nullptr,
+                     "with_static_dist: DistTicksFn holds no known distance oracle");
+  return fn(*p);
 }
 
 }  // namespace arrowdq

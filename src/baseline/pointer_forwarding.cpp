@@ -94,7 +94,6 @@ ForwardingLoopResult run_pointer_forwarding_closed_loop(NodeId node_count,
       NodeId, std::int64_t, Dist, const PointerForwardingConfig&)
 ARROWDQ_FORWARDING_INSTANTIATE(UnitDist);
 ARROWDQ_FORWARDING_INSTANTIATE(ApspDist);
-ARROWDQ_FORWARDING_INSTANTIATE(FnDist);
 ARROWDQ_FORWARDING_INSTANTIATE(PathDist);
 ARROWDQ_FORWARDING_INSTANTIATE(RingDist);
 ARROWDQ_FORWARDING_INSTANTIATE(GridDist);

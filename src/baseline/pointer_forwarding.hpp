@@ -53,8 +53,7 @@ struct PointerForwardingConfig {
 /// The oracle template is the statically dispatched tier, explicitly
 /// instantiated in pointer_forwarding.cpp for every concrete oracle type in
 /// dist.hpp; the DistTicksFn overload probes for a wrapped oracle once per
-/// run (with_static_dist) and otherwise pays the type-erased call per
-/// message.
+/// run (with_static_dist) and refuses any other callable.
 template <typename Dist>
 QueuingOutcome run_pointer_forwarding(NodeId node_count, const RequestSet& requests,
                                       Dist dist, const PointerForwardingConfig& config);

@@ -28,8 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -98,10 +96,8 @@ inline double mean_round_latency_units(const std::vector<LaneAccum>& lanes) {
 
 /// The serial engine: one Simulator (borrowed, so a caller can read the
 /// clock after the run) and one Network behind the driver context.
-/// `kErased` routes every delivery through a std::function — the dynamically
-/// dispatched reference path the `_dynamic` entry points benchmark against.
 template <typename M, typename Latency, typename Handler, typename Faults = NoFaults,
-          typename Index = Graph, typename SimT = Simulator, bool kErased = false>
+          typename Index = Graph, typename SimT = Simulator>
 class SerialNetSim {
  public:
   using Sim = SimT;
@@ -171,11 +167,9 @@ class SerialNetSim {
       h(ctx, from, to, m);
     }
   };
-  using NetHandler =
-      std::conditional_t<kErased, std::function<void(NodeId, NodeId, const M&)>, Bound>;
 
   Sim& sim_;
-  Network<M, Latency, NetHandler, Faults, Index, Sim> net_;
+  Network<M, Latency, Bound, Faults, Index, Sim> net_;
   QueuingOutcome* out_ = nullptr;
 };
 
@@ -185,10 +179,6 @@ class SerialNetSim {
 struct SerialEngine {
   template <typename M, typename L, typename H, typename F, typename I, typename S>
   using Net = SerialNetSim<M, L, H, F, I, S>;
-};
-struct DynamicSerialEngine {
-  template <typename M, typename L, typename H, typename F, typename I, typename S>
-  using Net = SerialNetSim<M, L, H, F, I, S, /*kErased=*/true>;
 };
 
 }  // namespace arrowdq

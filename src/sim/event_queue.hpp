@@ -1,8 +1,7 @@
 // Event queues for the simulator: 16-byte (time, seq|slot) handles ordered
 // by (time, seq), with the event payload living in the simulator's arena.
 //
-// Four interchangeable implementations (BasicSimulator is templated on
-// the queue):
+// Two implementations (BasicSimulator is templated on the queue):
 //  * BucketedEventQueue — calendar-style: a binary min-heap over *distinct*
 //    pending times plus a FIFO bucket per time. Discrete-event protocol
 //    workloads are massively tie-heavy (service times and unit latencies
@@ -11,22 +10,19 @@
 //    a vector append, and the log-cost heap operation is paid once per
 //    *instant* instead of once per event. Requires monotonically increasing
 //    sequence numbers across pushes (BasicSimulator guarantees this); the
-//    bucket append order then realizes the exact (time, seq) order.
+//    bucket append order then realizes the exact (time, seq) order. This is
+//    the only queue production runs: Simulator, CompactSimulator and every
+//    sharded lane.
 //  * BinaryEventQueue — implicit binary min-heap via std::push_heap /
 //    std::pop_heap, whose sift-to-a-leaf-then-bubble-up pop does ~1
 //    comparison per level instead of testing "does the displaced element
-//    fit here" at every level.
-//  * FourAryEventQueue — implicit 4-ary min-heap; half the levels of the
-//    binary heap, but 3 child comparisons per level.
-//  * PairingEventQueue — adapter over PairingHeap for O(1) amortized
-//    insert under bursty schedules.
+//    fit here" at every level. An independent comparison-heap order: the
+//    tests use it as the reference the bucketed queue must reproduce, and
+//    bench_throughput measures it next to the default.
 //
-// bench_throughput measures all of them on a schedule-then-drain burst, on
-// steady-state churn, and end-to-end on the Figure 10 macro. The bucketed
-// queue wins the tie-heavy protocol workloads outright and stays within
-// noise of the binary heap on the all-distinct-times microbenchmark, so it
-// is the default Simulator; the binary heap remains the strongest general
-// comparison-heap alternate.
+// The bucketed queue wins the tie-heavy protocol workloads outright and
+// stays within noise of the binary heap on the all-distinct-times
+// microbenchmark (bench_throughput's event_core rows).
 #pragma once
 
 #include <algorithm>
@@ -35,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/pairing_heap.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
@@ -373,99 +368,6 @@ class BucketedEventQueue {
   std::size_t map_live_ = 0;
   std::size_t map_dirty_ = 0;
   std::size_t size_ = 0;
-};
-
-class FourAryEventQueue {
- public:
-  bool empty() const { return v_.empty(); }
-  std::size_t size() const { return v_.size(); }
-  void reserve(std::size_t n) { v_.reserve(n); }
-  void clear() { v_.clear(); }
-
-  Time top_time() const {
-    ARROWDQ_ASSERT(!v_.empty());
-    return v_[0].t;
-  }
-
-  void push(EventEntry e) {
-    std::size_t i = v_.size();
-    v_.push_back(e);
-    while (i > 0) {
-      std::size_t parent = (i - 1) >> 2;
-      if (!(e < v_[parent])) break;
-      v_[i] = v_[parent];
-      i = parent;
-    }
-    v_[i] = e;
-  }
-
-  EventEntry pop() {
-    ARROWDQ_ASSERT(!v_.empty());
-    EventEntry out = v_[0];
-    EventEntry last = v_.back();
-    v_.pop_back();
-    if (!v_.empty()) {
-      std::size_t i = 0;
-      const std::size_t n = v_.size();
-      for (;;) {
-        std::size_t first_child = (i << 2) + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-        for (std::size_t c = first_child + 1; c < end; ++c)
-          if (v_[c] < v_[best]) best = c;
-        if (!(v_[best] < last)) break;
-        v_[i] = v_[best];
-        i = best;
-      }
-      v_[i] = last;
-    }
-    return out;
-  }
-
-  /// Batch drain; see BinaryEventQueue::pop_run. The 4-ary layout gets the
-  /// generic pop loop — it is the bake-off alternate, not the default.
-  void pop_run(std::vector<EventEntry>& out) {
-    ARROWDQ_ASSERT(!v_.empty());
-    const Time t = v_[0].t;
-    do {
-      out.push_back(pop());
-    } while (!v_.empty() && v_[0].t == t);
-  }
-
- private:
-  std::vector<EventEntry> v_;
-};
-
-class PairingEventQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  void reserve(std::size_t n) { heap_.reserve(n); }
-  void clear() { heap_.clear(); }
-
-  Time top_time() const { return heap_.top_key().t; }
-
-  void push(EventEntry e) { heap_.push({e.t, e.seq_slot}, e.slot()); }
-
-  EventEntry pop() {
-    auto key = heap_.top_key();
-    EventEntry e{key.t, key.seq};
-    heap_.pop();
-    return e;
-  }
-
-  /// Batch drain; see BinaryEventQueue::pop_run.
-  void pop_run(std::vector<EventEntry>& out) {
-    ARROWDQ_ASSERT(!heap_.empty());
-    const Time t = heap_.top_key().t;
-    do {
-      out.push_back(pop());
-    } while (!heap_.empty() && heap_.top_key().t == t);
-  }
-
- private:
-  PairingHeap<std::uint32_t> heap_;
 };
 
 }  // namespace arrowdq

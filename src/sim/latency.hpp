@@ -14,7 +14,8 @@
 // runtime polymorphism (configuration, ownership via unique_ptr, bench
 // tables); `with_static_latency` bridges the two, dispatching *once per run*
 // from a dynamic model to its concrete sampler so the per-message loop never
-// sees the vtable again.
+// sees the vtable again. There is no per-message virtual fallback: a model
+// subclass this header does not know is refused with a diagnostic.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "support/assert.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
 
@@ -107,19 +109,6 @@ class LatencyModel {
   virtual const char* name() const = 0;
 };
 
-/// Fallback sampler for unknown LatencyModel subclasses: pays the vtable on
-/// every draw. Implicitly constructible from a model reference so legacy
-/// `Network<M>(graph, sim, model)` call sites keep compiling unchanged.
-struct VirtualSampler {
-  LatencyModel* model = nullptr;
-  VirtualSampler() = default;
-  VirtualSampler(LatencyModel& m) : model(&m) {}  // NOLINT(google-explicit-constructor)
-  Time operator()(NodeId from, NodeId to, Weight weight) {
-    return model->sample(from, to, weight);
-  }
-  const char* name() const { return model->name(); }
-};
-
 class SynchronousLatency final : public LatencyModel {
  public:
   Time sample(NodeId from, NodeId to, Weight weight) override { return s_(from, to, weight); }
@@ -169,19 +158,21 @@ std::unique_ptr<LatencyModel> make_uniform_async(std::uint64_t seed, double min_
 std::unique_ptr<LatencyModel> make_truncated_exp(std::uint64_t seed, double mean_fraction = 0.3);
 
 /// One-time static dispatch: invoke `fn` with the concrete sampler behind
-/// `model` (state shared with the model, stateless kinds passed by value),
-/// or with a VirtualSampler for subclasses this header does not know. The
-/// cost of the dynamic_cast chain is paid once per *run*, not per message —
-/// callers templated on the sampler type then sample with a direct call.
+/// `model` (state shared with the model, stateless kinds passed by value).
+/// The cost of the dynamic_cast chain is paid once per *run*, not per
+/// message — callers templated on the sampler type then sample with a
+/// direct call. A subclass this header does not know aborts with a
+/// diagnostic (always on, Release included).
 template <typename Fn>
 decltype(auto) with_static_latency(LatencyModel& model, Fn&& fn) {
   if (auto* p = dynamic_cast<SynchronousLatency*>(&model)) return fn(p->sampler());
   if (auto* p = dynamic_cast<ScaledLatency*>(&model)) return fn(p->sampler());
   if (auto* p = dynamic_cast<UniformAsyncLatency*>(&model))
     return fn(SamplerRef<UniformSampler>{&p->sampler()});
-  if (auto* p = dynamic_cast<TruncatedExpLatency*>(&model))
-    return fn(SamplerRef<TruncExpSampler>{&p->sampler()});
-  return fn(VirtualSampler{model});
+  auto* p = dynamic_cast<TruncatedExpLatency*>(&model);
+  ARROWDQ_ASSERT_MSG(p != nullptr,
+                     "with_static_latency: unknown LatencyModel subclass (no static sampler)");
+  return fn(SamplerRef<TruncExpSampler>{&p->sampler()});
 }
 
 }  // namespace arrowdq

@@ -20,16 +20,17 @@
 // O(1)).
 //
 // Static dispatch: the network is templated on the latency sampler, the
-// handler, and the fault filter. On the default path the protocol drivers
-// instantiate `Network<M, ConcreteSampler, TypedHandlerStruct>`, so a send
-// samples its latency with an inlinable direct call and a delivery invokes
-// the protocol handler without an indirect std::function dispatch — the
-// whole send → schedule → deliver → handle chain is visible to the
-// optimizer as one loop. The defaults (`VirtualSampler`, `std::function`,
-// `NoFaults`) keep every legacy `Network<M>(graph, sim, model)` call site
-// source-compatible on the dynamically dispatched path; with `NoFaults` the
-// fault branches are `if constexpr`-eliminated, so the fault-free hot path
-// is unchanged down to the instruction level (the golden hashes pin this).
+// handler, and the fault filter, and every user names all three. The
+// protocol drivers instantiate `Network<M, ConcreteSampler,
+// TypedHandlerStruct>`, so a send samples its latency with an inlinable
+// direct call and a delivery invokes the protocol handler without an
+// indirect dispatch — the whole send → schedule → deliver → handle chain is
+// visible to the optimizer as one loop. There is no type-erased default: a
+// dynamic LatencyModel reaches a network only through with_static_latency
+// (latency.hpp), which hands over its concrete sampler. With the default
+// `NoFaults` the fault branches are `if constexpr`-eliminated, so the
+// fault-free hot path is unchanged down to the instruction level (the
+// golden hashes pin this).
 //
 // The trailing `Index` and `Sim` parameters generalize the edge index and
 // the event arena for the scale path: `Index` is anything with Graph's
@@ -41,7 +42,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,9 +61,8 @@ struct NetworkStats {
   Time total_edge_latency = 0;        // sum of sampled edge latencies (ticks)
 };
 
-template <typename M, typename Latency = VirtualSampler,
-          typename Handler = std::function<void(NodeId from, NodeId to, const M& msg)>,
-          typename Faults = NoFaults, typename Index = Graph, typename Sim = Simulator>
+template <typename M, typename Latency, typename Handler, typename Faults = NoFaults,
+          typename Index = Graph, typename Sim = Simulator>
 class Network {
  public:
   // Guard rails on the fast path: messages are copied in and out of the

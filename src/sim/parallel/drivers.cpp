@@ -21,10 +21,9 @@ namespace arrowdq {
 
 namespace {
 
-/// Direct-send latency floor per distance oracle: every closed-form oracle
-/// maps distinct nodes to >= 1 unit; an arbitrary FnDist only guarantees the
-/// engine-wide 1-tick minimum. (The engine asserts every finalized delivery
-/// clears its window, so an optimistic floor fails loudly.)
+/// Direct-send latency floor per distance oracle: every oracle maps distinct
+/// nodes to >= 1 unit. (The engine asserts every finalized delivery clears
+/// its window, so an optimistic floor fails loudly.)
 inline Time dist_floor(const UnitDist&) { return kTicksPerUnit; }
 inline Time dist_floor(const ApspDist&) { return kTicksPerUnit; }
 inline Time dist_floor(const PathDist&) { return kTicksPerUnit; }
@@ -32,7 +31,6 @@ inline Time dist_floor(const RingDist&) { return kTicksPerUnit; }
 inline Time dist_floor(const GridDist&) { return kTicksPerUnit; }
 inline Time dist_floor(const TorusDist&) { return kTicksPerUnit; }
 inline Time dist_floor(const HypercubeDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const FnDist&) { return 1; }
 
 /// Implicit trees are unit-weight.
 inline Weight min_edge_weight(const ImplicitTreeIndex&) { return 1; }

@@ -6,8 +6,6 @@ namespace arrowdq {
 // instead of re-instantiating the template per translation unit.
 template class BasicSimulator<BucketedEventQueue>;
 template class BasicSimulator<BinaryEventQueue>;
-template class BasicSimulator<FourAryEventQueue>;
-template class BasicSimulator<PairingEventQueue>;
 template class BasicSimulator<BucketedEventQueue, 16>;  // CompactSimulator
 
 }  // namespace arrowdq

@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -49,9 +48,6 @@ namespace arrowdq {
 template <typename Queue, std::size_t InlineBytes = 48>
 class BasicSimulator {
  public:
-  /// Compatibility alias; any callable (not just std::function) schedules.
-  using Action = std::function<void()>;
-
   /// Callables at most this large (and trivially copyable/destructible)
   /// schedule without touching the heap.
   static constexpr std::size_t kInlineStorage = InlineBytes;
@@ -281,9 +277,9 @@ class BasicSimulator {
   }
 
   /// A moved-from simulator must stay usable: the free list (which would
-  /// point into the old arena) must be emptied, and so must the queue —
-  /// PairingEventQueue's node-pool move leaves stale root/size scalars
-  /// behind that clear() resets.
+  /// point into the old arena) must be emptied, and so must the queue,
+  /// whose moved-from scalars (the bucketed queue's size and map counters)
+  /// clear() resets.
   void reset_moved_from() {
     queue_.clear();
     batch_.clear();
@@ -341,8 +337,6 @@ using CompactSimulator = BasicSimulator<BucketedEventQueue, 16>;
 
 extern template class BasicSimulator<BucketedEventQueue>;
 extern template class BasicSimulator<BinaryEventQueue>;
-extern template class BasicSimulator<FourAryEventQueue>;
-extern template class BasicSimulator<PairingEventQueue>;
 extern template class BasicSimulator<BucketedEventQueue, 16>;
 
 }  // namespace arrowdq

@@ -18,14 +18,14 @@ namespace {
 TEST(Centralized, TwoMessagesPerRemoteRequest) {
   Graph g = make_complete(5);
   auto rs = RequestSet::from_units(0, {{1, 0}, {2, 0}, {3, 5}});
-  auto out = run_centralized(5, rs, unit_dist_fn(), CentralizedConfig{0});
+  auto out = run_centralized(5, rs, unit_dist_fn(), CentralizedConfig{});
   out.validate(rs);
   for (RequestId id = 1; id <= 3; ++id) EXPECT_EQ(out.completion(id).hops, 2);
 }
 
 TEST(Centralized, CenterRequestIsFree) {
   auto rs = RequestSet::from_units(0, {{0, 0}});
-  auto out = run_centralized(4, rs, unit_dist_fn(), CentralizedConfig{0});
+  auto out = run_centralized(4, rs, unit_dist_fn(), CentralizedConfig{});
   EXPECT_EQ(out.completion(1).hops, 0);
   EXPECT_EQ(out.completion(1).completed_at, 0);
 }
@@ -36,7 +36,7 @@ TEST(Centralized, OrderFollowsArrivalAtCenter) {
   Graph g = make_path(4);
   AllPairs apsp(g);
   auto rs = RequestSet::from_units(0, {{3, 0}, {1, 1}});
-  auto out = run_centralized(4, rs, apsp_dist_fn(apsp), CentralizedConfig{0});
+  auto out = run_centralized(4, rs, apsp_dist_fn(apsp), CentralizedConfig{});
   auto order = out.order();
   EXPECT_EQ(order, (std::vector<RequestId>{0, 2, 1}));
 }
@@ -45,14 +45,14 @@ TEST(Centralized, RoundTripLatencyUsesGraphDistances) {
   Graph g = make_path(5);
   AllPairs apsp(g);
   auto rs = RequestSet::from_units(0, {{4, 0}});
-  auto out = run_centralized(5, rs, apsp_dist_fn(apsp), CentralizedConfig{0});
+  auto out = run_centralized(5, rs, apsp_dist_fn(apsp), CentralizedConfig{});
   EXPECT_EQ(out.completion(1).completed_at, units_to_ticks(8));  // 4 there + 4 back
 }
 
 TEST(Centralized, ServiceTimeSerializesTheCenter) {
   const Time service = 100;
   auto rs = RequestSet::from_units(0, {{1, 0}, {2, 0}, {3, 0}, {4, 0}});
-  CentralizedConfig cfg{0, service};
+  CentralizedConfig cfg{0, service, FaultSpec{}};
   auto out = run_centralized(5, rs, unit_dist_fn(), cfg);
   // All four requests arrive at the center at 1 unit; service serializes
   // them 100 ticks apart; replies also pay service at the requesters.
@@ -62,7 +62,7 @@ TEST(Centralized, ServiceTimeSerializesTheCenter) {
 }
 
 TEST(Centralized, ClosedLoopCompletesAllRounds) {
-  CentralizedConfig cfg{0, kTicksPerUnit / 16};
+  CentralizedConfig cfg{0, kTicksPerUnit / 16, FaultSpec{}};
   auto res = run_centralized_closed_loop(8, 50, unit_dist_fn(), cfg);
   EXPECT_EQ(res.total_requests, 400);
   EXPECT_GT(res.makespan, 0);
@@ -71,7 +71,7 @@ TEST(Centralized, ClosedLoopCompletesAllRounds) {
 }
 
 TEST(Centralized, ClosedLoopScalesLinearlyWhenSaturated) {
-  CentralizedConfig cfg{0, kTicksPerUnit / 8};
+  CentralizedConfig cfg{0, kTicksPerUnit / 8, FaultSpec{}};
   auto r16 = run_centralized_closed_loop(16, 100, unit_dist_fn(), cfg);
   auto r32 = run_centralized_closed_loop(32, 100, unit_dist_fn(), cfg);
   double growth = static_cast<double>(r32.makespan) / static_cast<double>(r16.makespan);
@@ -127,7 +127,7 @@ TEST(ArrowClosedLoop, BeatsCentralizedAtScale) {
   acfg.service_time = service;
   auto arrow = run_arrow_closed_loop(t, sync, acfg);
   auto central = run_centralized_closed_loop(64, 200, unit_dist_fn(),
-                                             CentralizedConfig{0, service});
+                                             CentralizedConfig{0, service, FaultSpec{}});
   EXPECT_LT(arrow.makespan, central.makespan);
 }
 

@@ -1,16 +1,12 @@
 // Coverage for the statically dispatched hot path, the same-tick batch
 // drain, and the parallel sweep runner.
 //
-//  * Typed-handler + value-sampler execution must be tick-identical to the
-//    dynamically dispatched reference (std::function handler + virtual
-//    LatencyModel) on seeded instances — one-shot QueuingOutcomes and
-//    closed-loop ClosedLoopResults compared field by field.
 //  * with_static_latency must hand back samplers that share state with the
-//    model (same draw sequence), and fall back to the virtual adapter for
-//    unknown subclasses.
+//    model (same draw sequence), and refuse unknown subclasses;
+//    with_static_dist must refuse a DistTicksFn that holds no known oracle.
 //  * Batch draining must preserve exact (time, seq) FIFO order under heavy
-//    same-instant load, including events scheduled mid-batch, on every
-//    queue implementation.
+//    same-instant load, including events scheduled mid-batch, on the
+//    bucketed queue and the binary-heap reference.
 //  * SweepRunner results must not depend on the thread count (including 1)
 //    and map() must return results in index order.
 #include <gtest/gtest.h>
@@ -21,6 +17,8 @@
 
 #include "arrow/arrow.hpp"
 #include "arrow/closed_loop.hpp"
+#include "baseline/centralized.hpp"
+#include "baseline/dist.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanning_tree.hpp"
 #include "sim/latency.hpp"
@@ -30,70 +28,6 @@
 
 namespace arrowdq {
 namespace {
-
-std::unique_ptr<LatencyModel> model_for(int seed) {
-  switch (seed % 4) {
-    case 0: return make_synchronous();
-    case 1: return make_scaled(0.25 + 0.05 * (seed % 5));
-    case 2: return make_uniform_async(static_cast<std::uint64_t>(seed) * 31 + 7, 0.1);
-    default: return make_truncated_exp(static_cast<std::uint64_t>(seed) * 53 + 11, 0.4);
-  }
-}
-
-void expect_outcomes_equal(const QueuingOutcome& a, const QueuingOutcome& b, int seed) {
-  ASSERT_EQ(a.request_count(), b.request_count()) << "seed " << seed;
-  EXPECT_EQ(a.order(), b.order()) << "seed " << seed;
-  for (RequestId id = 1; id <= a.request_count(); ++id) {
-    const Completion& ca = a.completion(id);
-    const Completion& cb = b.completion(id);
-    EXPECT_EQ(ca.predecessor, cb.predecessor) << "seed " << seed << " req " << id;
-    EXPECT_EQ(ca.completed_at, cb.completed_at) << "seed " << seed << " req " << id;
-    EXPECT_EQ(ca.hops, cb.hops) << "seed " << seed << " req " << id;
-    EXPECT_EQ(ca.distance, cb.distance) << "seed " << seed << " req " << id;
-  }
-}
-
-TEST(StaticDispatch, OneShotMatchesDynamicReference) {
-  for (int seed = 0; seed < 16; ++seed) {
-    auto inst = testutil::make_tree_instance(seed);
-    // Two independently seeded model instances: the two paths must consume
-    // identical RNG streams.
-    auto m_static = model_for(seed);
-    auto m_dynamic = model_for(seed);
-    ArrowEngine e_static(inst.tree, *m_static);
-    ArrowEngine e_dynamic(inst.tree, *m_dynamic);
-    if (seed % 3 == 1) {
-      e_static.set_service_time(kTicksPerUnit / 8);
-      e_dynamic.set_service_time(kTicksPerUnit / 8);
-    }
-    QueuingOutcome out_static = e_static.run(inst.requests);
-    QueuingOutcome out_dynamic = e_dynamic.run_dynamic(inst.requests);
-    expect_outcomes_equal(out_static, out_dynamic, seed);
-    EXPECT_EQ(e_static.links(), e_dynamic.links()) << "seed " << seed;
-    EXPECT_EQ(e_static.sink_node(), e_dynamic.sink_node()) << "seed " << seed;
-    EXPECT_EQ(e_static.messages_sent(), e_dynamic.messages_sent()) << "seed " << seed;
-    EXPECT_EQ(e_static.sim().now(), e_dynamic.sim().now()) << "seed " << seed;
-  }
-}
-
-TEST(StaticDispatch, ClosedLoopMatchesDynamicReference) {
-  for (int seed = 0; seed < 10; ++seed) {
-    auto inst = testutil::make_tree_instance(seed);
-    auto m_static = model_for(seed);
-    auto m_dynamic = model_for(seed);
-    ClosedLoopConfig cfg;
-    cfg.requests_per_node = 15 + seed % 9;
-    cfg.service_time = seed % 3 == 0 ? 0 : kTicksPerUnit / 16;
-    ClosedLoopResult rs = run_arrow_closed_loop(inst.tree, *m_static, cfg);
-    ClosedLoopResult rd = run_arrow_closed_loop_dynamic(inst.tree, *m_dynamic, cfg);
-    EXPECT_EQ(rs.makespan, rd.makespan) << "seed " << seed;
-    EXPECT_EQ(rs.total_requests, rd.total_requests) << "seed " << seed;
-    EXPECT_EQ(rs.tree_messages, rd.tree_messages) << "seed " << seed;
-    EXPECT_EQ(rs.notify_messages, rd.notify_messages) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(rs.avg_hops_per_request, rd.avg_hops_per_request) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(rs.avg_round_latency_units, rd.avg_round_latency_units) << "seed " << seed;
-  }
-}
 
 TEST(StaticDispatch, SamplersShareStateWithModels) {
   // Stateful models: the dispatched sampler must draw from the *same*
@@ -117,19 +51,30 @@ TEST(StaticDispatch, SamplersShareStateWithModels) {
   });
 }
 
-TEST(StaticDispatch, UnknownModelFallsBackToVirtualSampler) {
-  struct CustomLatency final : LatencyModel {
-    Time sample(NodeId, NodeId, Weight weight) override { return units_to_ticks(weight) + 1; }
-    const char* name() const override { return "custom"; }
-  };
+// There is no per-message virtual fallback: an unknown LatencyModel subclass
+// or a DistTicksFn holding a caller's own closure is refused once, at
+// dispatch, with a diagnostic.
+struct CustomLatency final : LatencyModel {
+  Time sample(NodeId, NodeId, Weight weight) override { return units_to_ticks(weight) + 1; }
+  const char* name() const override { return "custom"; }
+};
+
+TEST(StaticDispatchDeathTest, UnknownLatencyModelIsRefused) {
   CustomLatency custom;
-  bool called = false;
-  with_static_latency(custom, [&](auto sampler) {
-    EXPECT_EQ(sampler(0, 1, 2), units_to_ticks(2) + 1);
-    EXPECT_TRUE((std::is_same_v<decltype(sampler), VirtualSampler>));
-    called = true;
-  });
-  EXPECT_TRUE(called);
+  EXPECT_DEATH(with_static_latency(custom, [](auto sampler) { return sampler(0, 1, 2); }),
+               "unknown LatencyModel subclass");
+  // The same refusal through a public entry point.
+  auto inst = testutil::make_tree_instance(3);
+  ArrowEngine engine(inst.tree, custom);
+  EXPECT_DEATH(engine.run(inst.requests), "unknown LatencyModel subclass");
+}
+
+TEST(StaticDispatchDeathTest, BareLambdaDistIsRefused) {
+  const DistTicksFn bare = [](NodeId u, NodeId v) { return u == v ? Time{0} : kTicksPerUnit; };
+  EXPECT_DEATH(with_static_dist(bare, [](auto oracle) { return oracle(0, 1); }),
+               "no known distance oracle");
+  const RequestSet rs = RequestSet::from_units(0, {{1, 0}});
+  EXPECT_DEATH(run_centralized(4, rs, bare, CentralizedConfig{}), "no known distance oracle");
 }
 
 // --- batch drain ----------------------------------------------------------
@@ -169,14 +114,12 @@ void drive_batch_fifo() {
 TEST(BatchDrain, FifoUnderManySameInstantEvents) {
   drive_batch_fifo<BasicSimulator<BucketedEventQueue>>();
   drive_batch_fifo<BasicSimulator<BinaryEventQueue>>();
-  drive_batch_fifo<BasicSimulator<FourAryEventQueue>>();
-  drive_batch_fifo<BasicSimulator<PairingEventQueue>>();
 }
 
 TEST(BatchDrain, RandomizedOrderAgreesAcrossQueues) {
-  // Property: all queue implementations realize the identical total order
-  // on a random schedule with heavy duplicate times, including nested
-  // scheduling from inside handlers.
+  // Property: the bucketed queue realizes the identical total order as the
+  // binary heap on a random schedule with heavy duplicate times, including
+  // nested scheduling from inside handlers.
   auto drive = [](auto sim_tag, int seed) {
     using Sim = decltype(sim_tag);
     Sim sim;
@@ -201,15 +144,14 @@ TEST(BatchDrain, RandomizedOrderAgreesAcrossQueues) {
   for (int seed = 0; seed < 6; ++seed) {
     auto bucketed = drive(BasicSimulator<BucketedEventQueue>{}, seed);
     auto binary = drive(BasicSimulator<BinaryEventQueue>{}, seed);
-    auto pairing = drive(BasicSimulator<PairingEventQueue>{}, seed);
     EXPECT_EQ(bucketed, binary) << "seed " << seed;
-    EXPECT_EQ(bucketed, pairing) << "seed " << seed;
     // Sanity: within every instant, tags are strictly increasing (schedule
     // order), and instants are non-decreasing in time.
     for (std::size_t i = 1; i < bucketed.size(); ++i) {
       EXPECT_LE(bucketed[i - 1].first, bucketed[i].first) << "seed " << seed;
-      if (bucketed[i - 1].first == bucketed[i].first)
+      if (bucketed[i - 1].first == bucketed[i].first) {
         EXPECT_LT(bucketed[i - 1].second, bucketed[i].second) << "seed " << seed;
+      }
     }
   }
 }

@@ -251,7 +251,9 @@ TEST(FaultSpec, PartitionAndChurnSchedulesAreDeterministicAndSorted) {
     // Window k opens at (k+1) * period; with down < period, windows never
     // overlap and the schedule is strictly sorted.
     EXPECT_EQ(pa[i].at, static_cast<Time>(i + 1) * 5 * kTicksPerUnit);
-    if (i > 0) EXPECT_GE(pa[i].at, pa[i - 1].up_at);
+    if (i > 0) {
+      EXPECT_GE(pa[i].at, pa[i - 1].up_at);
+    }
   }
 
   // Downtime longer than the period: windows are clamped to end no later
@@ -737,7 +739,9 @@ TEST(FaultProperty, BaselinesDegradeGracefullyUnderPartitionsAndChurn) {
       EXPECT_EQ(r.total_requests, 24 * 10) << protocol_name(proto) << " " << fault.name();
       EXPECT_EQ(r.stabilize_rounds, 0) << protocol_name(proto) << " " << fault.name();
       EXPECT_EQ(r.reselections, 0) << protocol_name(proto) << " " << fault.name();
-      if (fault.has_partition()) EXPECT_EQ(r.partitions, fault.partition_count);
+      if (fault.has_partition()) {
+        EXPECT_EQ(r.partitions, fault.partition_count);
+      }
     }
   }
 }

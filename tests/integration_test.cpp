@@ -143,7 +143,9 @@ TEST(Integration, WeightedGeometricEndToEnd) {
   auto rep = analyze_competitive(g, t, reqs, out, 12);
   EXPECT_TRUE(rep.lemma310_exact);
   EXPECT_GT(rep.cost_arrow, 0);
-  if (rep.opt.value > 0) EXPECT_LE(rep.ratio, 64.0 * rep.s_log_d);
+  if (rep.opt.value > 0) {
+    EXPECT_LE(rep.ratio, 64.0 * rep.s_log_d);
+  }
 }
 
 }  // namespace

@@ -134,11 +134,6 @@ TEST(RtMailbox, OverflowWaitsForRingSlotStillBeingPublished) {
   // thread, as producer 1, fills the rest of the ring and overflows. The
   // consumer must not hand out producer 1's overflow messages ahead of its
   // ring messages just because the ring's head slot is not ready yet.
-#if defined(ARROWDQ_RT_LOCKING_MAILBOX)
-  // The locking mailbox copies under its mutex, so no slot is ever reserved
-  // but unpublished, and the gated copy would block every other push.
-  GTEST_SKIP() << "ring-mailbox publish race; the locking mailbox has none";
-#endif
   GatedMsg::entered.store(false);
   GatedMsg::open.store(false);
   rt::Mailbox<GatedMsg> mbox(4);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -100,18 +101,19 @@ TEST(SimulatorTest, EqualTimeFifoAcrossInlineAndBoxedEvents) {
     }
     sim.run();
   };
+  auto expect_fifo = [&log] {
+    ASSERT_EQ(log.size(), 8u);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
+  };
+  Simulator bucketed;
+  drive(bucketed);
+  expect_fifo();
+  CompactSimulator compact;
+  drive(compact);
+  expect_fifo();
   BasicSimulator<BinaryEventQueue> binary;
   drive(binary);
-  ASSERT_EQ(log.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
-  BasicSimulator<FourAryEventQueue> four;
-  drive(four);
-  ASSERT_EQ(log.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
-  BasicSimulator<PairingEventQueue> pairing;
-  drive(pairing);
-  ASSERT_EQ(log.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
+  expect_fifo();
 }
 
 // Abandoning a simulator with pending boxed events must free them (the
@@ -128,8 +130,8 @@ TEST(SimulatorTest, DiscardsPendingBoxedEventsOnReset) {
 }
 
 // Moving from a non-empty simulator must leave the source empty and usable
-// for every queue variant (the pairing heap's node-pool move is the tricky
-// one: its root/size scalars need an explicit reset).
+// for every queue variant and slot size (the bucketed queue's moved-from
+// size and map counters need an explicit reset).
 TEST(SimulatorTest, MovedFromSimulatorIsEmptyAndUsable) {
   auto drive = [](auto sim) {
     int fired = 0;
@@ -142,9 +144,9 @@ TEST(SimulatorTest, MovedFromSimulatorIsEmptyAndUsable) {
     taken.run();
     EXPECT_EQ(fired, 11);
   };
+  drive(Simulator{});
+  drive(CompactSimulator{});
   drive(BasicSimulator<BinaryEventQueue>{});
-  drive(BasicSimulator<FourAryEventQueue>{});
-  drive(BasicSimulator<PairingEventQueue>{});
 }
 
 TEST(SimulatorTest, StepReturnsFalseWhenIdle) {
@@ -193,11 +195,15 @@ struct TestMsg {
   int payload = 0;
 };
 
+/// Tests name their sampler and handler types; a std::function handler lets
+/// each test install a capturing lambda.
+template <typename Latency>
+using TestNet = Network<TestMsg, Latency, std::function<void(NodeId, NodeId, const TestMsg&)>>;
+
 TEST(NetworkTest, DeliversAfterLatency) {
   Graph g = make_path(2);
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SyncSampler> net(g, sim, SyncSampler{});
   std::vector<std::pair<Time, int>> got;
   net.set_handler([&](NodeId, NodeId, const TestMsg& m) { got.emplace_back(sim.now(), m.payload); });
   net.send(0, 1, {42});
@@ -212,7 +218,7 @@ TEST(NetworkTest, FifoPreservedUnderRandomLatency) {
   Graph g = make_path(2);
   Simulator sim;
   UniformAsyncLatency lat(5, 0.05);
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SamplerRef<UniformSampler>> net(g, sim, {&lat.sampler()});
   std::vector<int> got;
   net.set_handler([&](NodeId, NodeId, const TestMsg& m) { got.push_back(m.payload); });
   for (int i = 0; i < 50; ++i) net.send(0, 1, {i});
@@ -225,7 +231,7 @@ TEST(NetworkTest, FifoIsPerDirectedEdge) {
   Graph g = make_path(3);
   Simulator sim;
   UniformAsyncLatency lat(6, 0.05);
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SamplerRef<UniformSampler>> net(g, sim, {&lat.sampler()});
   std::vector<int> at2;
   net.set_handler([&](NodeId, NodeId to, const TestMsg& m) {
     if (to == 2) at2.push_back(m.payload);
@@ -238,8 +244,7 @@ TEST(NetworkTest, FifoIsPerDirectedEdge) {
 TEST(NetworkTest, SendWithLatencyDirect) {
   Graph g = make_path(4);  // no edge 0-3
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SyncSampler> net(g, sim, SyncSampler{});
   Time delivered = -1;
   net.set_handler([&](NodeId from, NodeId to, const TestMsg&) {
     EXPECT_EQ(from, 0);
@@ -255,8 +260,7 @@ TEST(NetworkTest, SendWithLatencyDirect) {
 TEST(NetworkTest, ServiceTimeSerializesANode) {
   Graph g = make_star(3);  // center 0
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SyncSampler> net(g, sim, SyncSampler{});
   net.set_service_time(100);
   std::vector<Time> handled;
   net.set_handler([&](NodeId, NodeId, const TestMsg&) { handled.push_back(sim.now()); });
@@ -272,8 +276,7 @@ TEST(NetworkTest, ServiceTimeSerializesANode) {
 TEST(NetworkTest, ZeroServiceHandlesInParallel) {
   Graph g = make_star(3);
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SyncSampler> net(g, sim, SyncSampler{});
   std::vector<Time> handled;
   net.set_handler([&](NodeId, NodeId, const TestMsg&) { handled.push_back(sim.now()); });
   net.send(1, 0, {1});
@@ -287,8 +290,7 @@ TEST(NetworkTest, ZeroServiceHandlesInParallel) {
 TEST(NetworkTest, LatencyStatsAccumulate) {
   Graph g = make_path(2);
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  TestNet<SyncSampler> net(g, sim, SyncSampler{});
   net.set_handler([](NodeId, NodeId, const TestMsg&) {});
   net.send(0, 1, {1});
   net.send(1, 0, {2});

@@ -111,7 +111,7 @@ TEST(BaselineStress, CentralizedHeavyConcurrency) {
   const NodeId n = 96;
   Rng rng(2);
   auto reqs = one_shot_all(n, 0);
-  CentralizedConfig cfg{0, kTicksPerUnit / 8};
+  CentralizedConfig cfg{0, kTicksPerUnit / 8, FaultSpec{}};
   auto out = run_centralized(n, reqs, unit_dist_fn(), cfg);
   out.validate(reqs);
   // Service serializes the center: the last completion is at least
