@@ -157,7 +157,6 @@ std::uint64_t schedule_run_net_sized(std::size_t n_events) {
     void operator()() const { *sink += slot; }
   };
   static_assert(sizeof(NetSizedEvent) == 16);
-  static_assert(Sim::template fits_inline_v<NetSizedEvent>);
   Sim sim;
   std::uint64_t sink = 0;
   for (std::size_t i = 0; i < n_events; ++i)

@@ -42,8 +42,7 @@
 //               (sim/parallel/): every cell with a sharded entry — arrow and
 //               forwarding in both modes — runs on K lanes with bit-identical
 //               results; token passing, closed-loop centralized and
-//               topology-fault cells stay serial. Default 0 inherits
-//               ARROWDQ_SIM_SHARDS.
+//               topology-fault cells stay serial. Default 0 runs serial.
 //   --rt        real-thread runtime pass (src/rt/): re-run each fault-free
 //               arrow-loop cell on T worker threads (0 = all cores), check
 //               the recorded history for linearizability, and attach a
@@ -96,7 +95,7 @@ struct Options {
   std::uint64_t seed = 1;
   int repeat = 1;             // separately-reported rows per grid point
   int replicas = 1;           // statistically folded replicas per cell
-  int shards = 0;             // intra-run lanes; 0 = inherit ARROWDQ_SIM_SHARDS
+  int shards = 0;             // intra-run lanes; <= 1 runs serial
   int rt_threads = -1;        // -1 = no runtime pass; 0 = hardware concurrency
   std::string rt_app = "mutex";  // runtime app: mutex | counter | directory
   std::string json_path;      // empty = no JSON
@@ -180,7 +179,6 @@ bool parse_topology(const std::string& s, NodeId nodes, TopologySpec& out) {
   } else if (s == "path") {
     out = TopologySpec::path(nodes);
   } else if (s == "ring") {
-    if (nodes < 3) return false;  // wraparound needs >= 3 nodes
     out = TopologySpec::ring(nodes);
   } else if (s == "randtree") {
     out = TopologySpec::random_tree(nodes, /*seed=*/0);  // seeded per scenario
@@ -198,10 +196,9 @@ bool parse_topology(const std::string& s, NodeId nodes, TopologySpec& out) {
     if (x == std::string::npos) return false;
     auto rows = parse_positive_i64(s.substr(6, x - 6));
     auto cols = parse_positive_i64(s.substr(x + 1));
-    if (!rows || !cols || *rows < 3 || *cols < 3) return false;  // wraparound needs >= 3 per axis
+    if (!rows || !cols) return false;
     out = TopologySpec::torus(static_cast<NodeId>(*rows), static_cast<NodeId>(*cols));
   } else if (s == "hypercube") {
-    if (nodes < 2) return false;
     // 2^dims = largest power <= nodes. 64-bit shift and a hard dims cap:
     // the old `NodeId{2} << dims` comparison overflowed int32 (UB) for
     // nodes >= 2^30 instead of refusing them.
@@ -682,18 +679,8 @@ int main(int argc, char** argv) {
               else
                 e.workload = workload;
               // Shard every cell the sharded engine can run; the rest stay
-              // serial rather than failing validation (the same rule as
-              // shardable() in exp/experiment.cpp). Arrow and forwarding
-              // shard in both modes — each runs its one driver class on
-              // either engine. Token passing is inherently serial, CLI
-              // "centralized" is always the closed loop (no sharded entry),
-              // and topology-fault schedules (crash, partition, churn) force
-              // serial everywhere: their recovery waves are global pointer
-              // rewrites.
-              const bool can_shard =
-                  !fault.has_topology_faults() && proto.kind != Protocol::kTokenPassing &&
-                  !(proto.kind == Protocol::kCentralized && is_loop_token(proto_str));
-              if (can_shard) e.shards = opt.shards;
+              // serial rather than failing validation.
+              if (shardable(e)) e.shards = opt.shards;
               e = e.with_seed(++scenario_seed);
               e.label = e.default_label();
               if (is_loop_token(proto_str) && proto.kind == Protocol::kPointerForwarding)
@@ -744,6 +731,7 @@ int main(int argc, char** argv) {
         e.rounds = opt.reqs_per_node;
       else
         e.workload = workload;
+      if (shardable(e)) e.shards = opt.shards;
       e = e.with_seed(++scenario_seed);
       e.label = e.default_label();
       if (is_loop_token(cell.proto) && proto.kind == Protocol::kPointerForwarding)

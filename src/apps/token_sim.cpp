@@ -115,9 +115,6 @@ struct TokenDriver {
     std::size_t served;
     void operator()() const { d->dispatch_next(served); }
   };
-  static_assert(Simulator::template fits_inline_v<DepartEvent> &&
-                    Simulator::template fits_inline_v<HoldDoneEvent>,
-                "token events must stay on the simulator's inline path");
 };
 
 template <typename Latency>

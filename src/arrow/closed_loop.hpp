@@ -5,7 +5,8 @@
 //
 // Per round, a processor v issues queue(a); the queue message finds the sink
 // w (zero messages if v is itself the sink); w then returns the predecessor
-// identity to v as a direct message; on receipt v issues its next request.
+// identity to v as a direct message of one unit (the complete-graph SP2
+// setup); on receipt v issues its next request.
 //
 // Figure 10 plots the total makespan for `requests_per_node` rounds per
 // processor as the node count grows; Figure 11 plots the average number of
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "graph/implicit.hpp"
 #include "graph/tree.hpp"
@@ -30,10 +30,6 @@ struct ClosedLoopConfig {
   /// CPUs whose message handling serializes; 0 reproduces the cost-free
   /// local processing of the theoretical model.
   Time service_time = 0;
-  /// Latency (ticks) of the direct predecessor-identity reply from the sink
-  /// back to the requester (dG in the underlying network). Defaults to one
-  /// unit for every pair, matching the complete-graph SP2 setup.
-  std::function<Time(NodeId, NodeId)> notify_latency;
   /// Fault schedule (default: none). Crash windows corrupt the victim's
   /// pointer state and run a SelfStabilizer recovery wave; stale queue
   /// messages are absorbed at the live sink and answered from there.

@@ -162,8 +162,6 @@ class OneShotDriver {
     Request r;
     void operator()() const { driver->issue(r); }
   };
-  static_assert(Eng::Sim::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
 
   bool finished() const { return out_.is_complete(); }
 
@@ -416,20 +414,15 @@ class LoopDriver {
     NodeId v;
     void operator()() const { driver->issue(v); }
   };
-  static_assert(Eng::Sim::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
 
-  Time notify_latency(NodeId from, NodeId to) const {
-    if (config_.notify_latency) return config_.notify_latency(from, to);
-    return kTicksPerUnit;  // complete graph, unit pairwise latency
-  }
-
-  /// The sink answers m's requester (locally when it is the requester).
+  /// The sink answers m's requester (locally when it is the requester) with
+  /// a direct message of one unit: the complete-graph SP2 setup, where
+  /// every pair is one unit apart.
   void reply(Ctx& ctx, NodeId sink, const LoopMsg& m) {
     if (m.requester == sink) {
       round_done(ctx, sink);
     } else {
-      ctx.send_with_latency(sink, m.requester, notify_latency(sink, m.requester),
+      ctx.send_with_latency(sink, m.requester, kTicksPerUnit,
                             LoopMsg{LoopMsgKind::kNotify, m.req, m.requester, 0, epoch_});
     }
   }

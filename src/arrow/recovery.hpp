@@ -126,8 +126,8 @@ class ArrowRecovery {
 
   /// A stale message parked at a sinkless side until its window closes; it
   /// then re-enters receive() (still stale) and absorbs into the healed
-  /// queue. May exceed the simulator's inline slot — the boxed fallback is
-  /// fine off the hot path.
+  /// queue. Larger than the compact 16-byte slot: topology faults run only
+  /// on the default 48-byte-slot simulator.
   struct Parked {
     ArrowRecovery* r;
     NodeId at;

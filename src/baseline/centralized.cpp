@@ -83,8 +83,6 @@ class CentralLoop {
     NodeId v;
     void operator()() const { d->issue(v); }
   };
-  static_assert(Simulator::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
 
   RequestId enqueue(RequestId req) {
     RequestId pred = tail_;

@@ -110,8 +110,6 @@ class CentralOneShot {
     Request r;
     void operator()() const { d->issue(r); }
   };
-  static_assert(Eng::Sim::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
 
   /// Processes a request at the center: returns the predecessor and
   /// advances the tail. Only events executing at the center touch tail_ —
@@ -221,8 +219,6 @@ class Forwarder {
     Request r;
     void operator()() const { d->issue(r); }
   };
-  static_assert(Eng::Sim::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
 
   Eng eng_;
   Dist dist_;
@@ -356,8 +352,6 @@ class LoopForwarder {
     NodeId v;
     void operator()() const { d->issue(v); }
   };
-  static_assert(Eng::Sim::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
 
   void round_done(Ctx& ctx, NodeId v) {
     LaneAccum& acc = accum_[static_cast<std::size_t>(ctx.lane())];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -155,7 +154,7 @@ std::optional<std::string> TopologySpec::validate() const {
     case Family::kRandomTree:
       break;
     case Family::kRing:
-      if (nodes < 3) return "ring: needs >= 3 nodes";
+      if (nodes < 3) return "ring: needs >= 3 nodes, got " + std::to_string(nodes);
       break;
     case Family::kGrid:
       if (rows < 1 || cols < 1) return "grid: rows and cols must be >= 1";
@@ -267,6 +266,21 @@ Experiment Experiment::with_seed(std::uint64_t seed) const {
   e.latency.seed = mix64(seed ^ 0x301a7eULL);  // ignored by deterministic kinds
   e.fault.seed = mix64(seed ^ 0x4fa017ULL);    // ignored when kind == kNone
   return e;
+}
+
+bool shardable(const Experiment& e) {
+  if (e.fault.has_topology_faults()) return false;
+  switch (e.protocol.kind) {
+    case Protocol::kArrowOneShot:
+    case Protocol::kArrowClosedLoop:
+    case Protocol::kPointerForwarding:
+      return true;
+    case Protocol::kCentralized:
+      return e.rounds == 0;
+    case Protocol::kTokenPassing:
+      return false;
+  }
+  return false;
 }
 
 namespace exp_detail {
@@ -387,49 +401,12 @@ auto with_resolved_dist(const Resolved& r, Fn&& fn) {
   return fn(UnitDist{});
 }
 
-/// ARROWDQ_SIM_SHARDS, parsed once per process. Out-of-range or
-/// non-numeric values mean 1 (serial); the cap matches the engine's
-/// practical lane range.
-int env_shards() {
-  static const int cached = [] {
-    const char* s = std::getenv("ARROWDQ_SIM_SHARDS");
-    if (s == nullptr || *s == '\0') return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1 || v > 1024) return 1;
-    return static_cast<int>(v);
-  }();
-  return cached;
-}
-
-/// Whether the sharded engine can run this scenario: its protocol has a
-/// sharded entry (sim/parallel/parallel.hpp) and its schedule has no
-/// topology fault. Token passing replays an analytic total order
-/// (inherently serial), the centralized closed loop has no sharded entry,
-/// and topology-fault schedules (crash, partition, churn) cannot run inside
-/// safe windows — their recovery waves are global pointer rewrites.
-bool shardable(const Experiment& e) {
-  if (e.fault.has_topology_faults()) return false;
-  switch (e.protocol.kind) {
-    case Protocol::kArrowOneShot:
-    case Protocol::kArrowClosedLoop:
-    case Protocol::kPointerForwarding:
-      return true;
-    case Protocol::kCentralized:
-      return e.rounds == 0;
-    case Protocol::kTokenPassing:
-      return false;
-  }
-  return false;
-}
-
-/// The shard count a run should actually use. An explicit Experiment::shards
+/// The shard count a run actually uses. An explicit Experiment::shards
 /// wins (validate_experiment has already rejected unshardable combinations);
-/// scenarios the parallel engine cannot run stay serial.
+/// scenarios the parallel engine cannot run stay serial, and so does
+/// shards <= 1.
 int effective_shards(const Experiment& e) {
-  const int k = e.shards > 0 ? e.shards : env_shards();
-  if (k <= 1) return 1;
-  return shardable(e) ? k : 1;
+  return e.shards > 1 && shardable(e) ? e.shards : 1;
 }
 
 /// Dynamic-tier wrapper for a resolved distance oracle: the sharded baseline

@@ -416,16 +416,10 @@ struct Experiment {
   bool analyze = false;
   /// Intra-run shard count for the conservative parallel engine
   /// (sim/parallel/). Results are bit-identical to the serial core for any
-  /// value, so this is purely a speed knob. 0 = inherit ARROWDQ_SIM_SHARDS
-  /// (default 1; scenarios the parallel engine cannot run fall back to
-  /// serial silently). The arrow closed loop, one-shot arrow, one-shot
-  /// centralized, and pointer forwarding in both modes shard: each runs its
-  /// one driver class on either engine. Setting > 1 explicitly on the rest
-  /// is validated: token passing (the token replay is inherently serial),
-  /// the centralized closed loop (no sharded entry), and topology-fault
-  /// schedules — crash, partition, churn (their recovery waves are global
-  /// pointer rewrites) — are validate_experiment errors rather than silent
-  /// fallbacks.
+  /// value, so this is purely a speed knob. <= 1 runs serial. Scenarios
+  /// that pass shardable() (below) run their one driver class on K lanes;
+  /// setting > 1 on any other is a validate_experiment error rather than a
+  /// silent fallback.
   int shards = 0;
 
   /// "protocol topology-n latency" summary used when `label` is empty.
@@ -436,6 +430,15 @@ struct Experiment {
   /// one master seed.
   Experiment with_seed(std::uint64_t seed) const;
 };
+
+/// Whether the sharded engine can run this scenario: its protocol has a
+/// sharded entry (sim/parallel/parallel.hpp) and its schedule has no
+/// topology fault. Token passing replays an analytic total order
+/// (inherently serial), the centralized closed loop has no sharded entry,
+/// and topology-fault schedules (crash, partition, churn) cannot run inside
+/// safe windows: their recovery waves are global pointer rewrites. Runs
+/// with shards > 1 that fail this are validate_experiment errors.
+bool shardable(const Experiment& e);
 
 /// Pre-flight check for run_experiment: TopologySpec::validate() plus
 /// materialization guards. Refuses combinations that would materialize an

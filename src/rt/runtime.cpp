@@ -188,7 +188,6 @@ class Runtime {
         break;
     }
     if (cfg_.record_history) w.recorder.record(EventKind::kAcquire, m.req, v, aux);
-    for (int i = 0; i < cfg_.cs_spin; ++i) cs_sink_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.record_history) w.recorder.record(EventKind::kRelease, m.req, v);
     ++nd.rounds_done;
     if (nd.succ_of_last != kRtNoReq) {
@@ -273,7 +272,6 @@ class Runtime {
   std::atomic<int> busy_workers_;  // workers with unreleased owned requests
   std::atomic<int> started_{0};    // workers that have issued their first requests
   std::atomic<bool> done_{false};
-  std::atomic<std::uint64_t> cs_sink_{0};  // cs_spin scratch
 };
 
 }  // namespace

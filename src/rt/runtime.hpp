@@ -88,9 +88,6 @@ struct RtConfig {
   /// Record invoke/enqueue/acquire/release events for check_history. Adds a
   /// seq_cst counter increment per event — turn off for pure throughput runs.
   bool record_history = true;
-  /// Simulated critical-section work: relaxed-atomic spin iterations inside
-  /// each section (0 = empty section).
-  int cs_spin = 0;
 };
 
 struct RtResult {

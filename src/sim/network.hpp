@@ -13,6 +13,12 @@
 //    sets it > 0 to model a real CPU's serial message handling, which is
 //    what makes the centralized protocol's home node a bottleneck.
 //
+// The model is written once, in NetworkModel: the latency draw, the fault
+// filter, the FIFO clamp, fault deferral, the send counters and the serial
+// service step. Network (this file's serial engine) and ShardedNetSim
+// (sim/parallel/sharded_sim.hpp) both own one and call it; neither keeps
+// timing arithmetic of its own.
+//
 // Hot-path design: each in-flight message lives in one slot of a free-listed
 // pool and is dispatched through the single stored handler — no per-send
 // closure, no allocation after the pool warms up. The FIFO clamp is a flat
@@ -41,6 +47,7 @@
 // the materialized types, so every existing instantiation is untouched.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -61,64 +68,40 @@ struct NetworkStats {
   Time total_edge_latency = 0;        // sum of sampled edge latencies (ticks)
 };
 
-template <typename M, typename Latency, typename Handler, typename Faults = NoFaults,
-          typename Index = Graph, typename Sim = Simulator>
-class Network {
+/// The network model, written once: when a message sent now is delivered,
+/// and when a serial node finishes handling it. It owns the latency sampler,
+/// the fault filter, the per-edge FIFO horizons, the per-node service
+/// horizons and the send counters. Network calls it on every send and
+/// delivery; ShardedNetSim calls the send side at its window barriers in
+/// merged (serial) order and the service step from the lane owning the
+/// receiving node.
+template <typename Latency, typename Faults, typename Index>
+class NetworkModel {
  public:
-  // Guard rails on the fast path: messages are copied in and out of the
-  // in-flight pool and must stay trivially copyable and within the default
-  // simulator's inline-event budget, so a future field addition cannot
-  // silently push deliveries onto a slow path. (Messages live in the
-  // network's own pool, never in an event slot, so the compact simulator
-  // does not tighten this bound.)
-  static_assert(std::is_trivially_copyable_v<M>,
-                "network message types must be trivially copyable");
-  static_assert(sizeof(M) <= Simulator::kInlineStorage,
-                "network message types must fit the 48-byte inline-event budget");
-
-  Network(const Index& graph, Sim& sim, Latency latency, Faults faults = Faults{})
-      : graph_(graph),
-        sim_(sim),
+  NetworkModel(const Index& index, Latency latency, Faults faults)
+      : index_(index),
         latency_(std::move(latency)),
         faults_(std::move(faults)),
-        busy_until_(static_cast<std::size_t>(graph.node_count()), 0),
-        fifo_ready_(graph.dir_edge_count(), 0) {}
-
-  void set_handler(Handler h) {
-    handler_ = std::move(h);
-    handler_set_ = true;
-  }
+        fifo_ready_(index.dir_edge_count(), 0),
+        busy_until_(static_cast<std::size_t>(index.node_count()), 0) {}
 
   /// Serial processing cost per message at every node, in ticks.
   void set_service_time(Time ticks) {
     ARROWDQ_ASSERT_MSG(ticks >= 0, "service time must be >= 0");
     service_time_ = ticks;
   }
-  Time service_time() const { return service_time_; }
+  /// Whether arrivals queue for serial service (service time > 0).
+  bool serial_service() const { return service_time_ != 0; }
 
-  /// Capacity hint: pre-size the message pool for ~n concurrently in-flight
-  /// messages.
-  void reserve_messages(std::size_t n) {
-    pool_.reserve(n);
-    free_.reserve(n);
-  }
-
-  const Index& graph() const { return graph_; }
-  Sim& sim() { return sim_; }
-  Latency& latency() { return latency_; }
-  Faults& faults() { return faults_; }
-  const Faults& faults() const { return faults_; }
-  const NetworkStats& stats() const { return stats_; }
-
-  /// Send over graph edge {from, to}; latency sampled from the model and
-  /// clamped for FIFO.
-  void send(NodeId from, NodeId to, M msg) {
+  /// Delivery instant of a message sent at `now` over graph edge {from,
+  /// to}: latency sampled from the model and clamped for FIFO.
+  Time edge_delivery(NodeId from, NodeId to, Time now) {
     // Adding edges renumbers the dense directed ids, which would silently
     // alias fifo_ready_ entries — catch any mutation, not just growth past
     // the old size. Debug-only: a per-send size re-check is pure hot-loop
     // overhead in Release.
-    ARROWDQ_ASSERT(graph_.dir_edge_count() == fifo_ready_.size());
-    DirEdgeRef edge = graph_.find_edge(from, to);
+    ARROWDQ_ASSERT(index_.dir_edge_count() == fifo_ready_.size());
+    DirEdgeRef edge = index_.find_edge(from, to);
     ARROWDQ_ASSERT_MSG(edge, "send over a non-edge");
     Time lat = latency_(from, to, edge.weight);
     ARROWDQ_ASSERT(lat >= 1);
@@ -128,7 +111,7 @@ class Network {
       lat = f.latency;
       duplicated = f.duplicated;
     }
-    Time deliver = sim_.now() + lat;
+    Time deliver = now + lat;
     // FIFO clamp: never deliver before an earlier message on this edge.
     Time& ready = fifo_ready_[static_cast<std::size_t>(edge.id)];
     if (deliver < ready) deliver = ready;
@@ -148,21 +131,93 @@ class Network {
     }
     ++stats_.edge_messages;
     stats_.total_edge_latency += lat;
-    schedule_processing(from, to, deliver, msg);
+    return deliver;
   }
 
-  /// Send with an explicit latency (ticks), e.g. along a shortest path of
-  /// the underlying graph rather than a single edge. Not FIFO-clamped
-  /// against edge traffic (it does not traverse a single link).
-  void send_with_latency(NodeId from, NodeId to, Time latency, M msg) {
+  /// Delivery instant of a message sent at `now` with an explicit latency
+  /// (ticks), e.g. along a shortest path of the underlying graph rather
+  /// than a single edge. Not FIFO-clamped against edge traffic (it does not
+  /// traverse a single link).
+  Time direct_delivery(NodeId from, NodeId to, Time now, Time latency) {
     ARROWDQ_ASSERT(latency >= 0);
-    Time deliver = sim_.now() + latency;
+    Time deliver = now + latency;
     if constexpr (Faults::kActive) {
-      deliver = sim_.now() + faults_.on_direct(from, to, latency);
+      deliver = now + faults_.on_direct(from, to, latency);
       deliver = faults_.defer_edge(from, to, deliver);
     }
     ++stats_.direct_messages;
-    schedule_processing(from, to, deliver, msg);
+    return deliver;
+  }
+
+  /// The service step for a message arriving at serial node `to` at
+  /// `arrival`: wait until the node frees up, occupy it for one service
+  /// interval, and return the completion instant, when the handler runs.
+  Time serve(NodeId to, Time arrival) {
+    Time& busy = busy_until_[static_cast<std::size_t>(to)];
+    busy = std::max(arrival, busy) + service_time_;
+    return busy;
+  }
+
+  Faults& faults() { return faults_; }
+  const Faults& faults() const { return faults_; }
+  const NetworkStats& stats() const { return stats_; }
+
+ private:
+  const Index& index_;
+  Latency latency_;
+  Faults faults_;
+  Time service_time_ = 0;
+  std::vector<Time> fifo_ready_;  // indexed by dense directed-edge id
+  std::vector<Time> busy_until_;  // indexed by node
+  NetworkStats stats_;
+};
+
+template <typename M, typename Latency, typename Handler, typename Faults = NoFaults,
+          typename Index = Graph, typename Sim = Simulator>
+class Network {
+ public:
+  // Messages are copied in and out of the in-flight pool, and the sharded
+  // engine carries them inline in its delivery events, so they must stay
+  // trivially copyable and within the default simulator's inline-event
+  // budget. (Here they live in the network's own pool, never in an event
+  // slot, so the compact simulator does not tighten this bound.)
+  static_assert(std::is_trivially_copyable_v<M>,
+                "network message types must be trivially copyable");
+  static_assert(sizeof(M) <= Simulator::kInlineStorage,
+                "network message types must fit the 48-byte inline-event budget");
+
+  Network(const Index& graph, Sim& sim, Latency latency, Faults faults = Faults{})
+      : sim_(sim), model_(graph, std::move(latency), std::move(faults)) {}
+
+  void set_handler(Handler h) {
+    handler_ = std::move(h);
+    handler_set_ = true;
+  }
+
+  /// Serial processing cost per message at every node, in ticks.
+  void set_service_time(Time ticks) { model_.set_service_time(ticks); }
+
+  /// Capacity hint: pre-size the message pool for ~n concurrently in-flight
+  /// messages.
+  void reserve_messages(std::size_t n) {
+    pool_.reserve(n);
+    free_.reserve(n);
+  }
+
+  Faults& faults() { return model_.faults(); }
+  const Faults& faults() const { return model_.faults(); }
+  const NetworkStats& stats() const { return model_.stats(); }
+
+  /// Send over graph edge {from, to}; latency sampled from the model and
+  /// clamped for FIFO.
+  void send(NodeId from, NodeId to, M msg) {
+    schedule_processing(from, to, model_.edge_delivery(from, to, sim_.now()), msg);
+  }
+
+  /// Send with an explicit latency (ticks); see
+  /// NetworkModel::direct_delivery.
+  void send_with_latency(NodeId from, NodeId to, Time latency, M msg) {
+    schedule_processing(from, to, model_.direct_delivery(from, to, sim_.now(), latency), msg);
   }
 
  private:
@@ -180,8 +235,6 @@ class Network {
     std::uint32_t slot;
     void operator()() const { net->deliver(slot); }
   };
-  static_assert(Sim::template fits_inline_v<DeliveryEvent>,
-                "DeliveryEvent must stay on the simulator's inline path");
 
   void schedule_processing(NodeId from, NodeId to, Time deliver, const M& msg) {
     std::uint32_t slot;
@@ -202,16 +255,11 @@ class Network {
 
   void deliver(std::uint32_t slot) {
     Pending& p = pool_[slot];
-    if (service_time_ != 0 && !p.in_service) {
-      // Arrival at a serial node: wait until the node frees up, occupy it
-      // for one service interval, and re-arm this same record for the
-      // completion instant.
-      Time& busy = busy_until_[static_cast<std::size_t>(p.to)];
-      Time start = std::max(sim_.now(), busy);
-      Time done = start + service_time_;
-      busy = done;
+    if (model_.serial_service() && !p.in_service) {
+      // Arrival at a serial node: re-arm this same record for the instant
+      // its service completes.
       p.in_service = true;
-      sim_.at(done, DeliveryEvent{this, slot});
+      sim_.at(model_.serve(p.to, sim_.now()), DeliveryEvent{this, slot});
       return;
     }
     if constexpr (std::is_constructible_v<bool, const Handler&>) {
@@ -230,18 +278,12 @@ class Network {
     handler_(from, to, msg);
   }
 
-  const Index& graph_;
   Sim& sim_;
-  Latency latency_;
-  Faults faults_{};
+  NetworkModel<Latency, Faults, Index> model_;
   Handler handler_{};
   bool handler_set_ = false;
-  Time service_time_ = 0;
-  std::vector<Time> busy_until_;
-  std::vector<Time> fifo_ready_;  // indexed by dense directed-edge id
   std::vector<Pending> pool_;
   std::vector<std::uint32_t> free_;
-  NetworkStats stats_;
 };
 
 }  // namespace arrowdq

@@ -63,9 +63,8 @@ ClosedLoopResult run_loop_sharded(Topo topo, LatencyModel& latency,
   warm_index(index);
   return with_static_latency(latency, [&](auto lat) {
     return with_fault_filter(config.fault, topo.node_count(), [&](auto filt) {
-      const Time lookahead =
-          combined_lookahead(sampler_floor(lat, min_edge_weight(index)),
-                             config.notify_latency ? Time{1} : kTicksPerUnit, config.fault);
+      const Time lookahead = combined_lookahead(sampler_floor(lat, min_edge_weight(index)),
+                                                kTicksPerUnit, config.fault);
       LoopDriver<ShardedEngine, decltype(lat), decltype(filt), Topo> driver(
           topo, index, config, std::move(lat), std::move(filt),
           shard_setup(config.fault, shard, topo.node_count(), lookahead));

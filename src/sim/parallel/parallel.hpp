@@ -17,9 +17,8 @@
 //    cannot run inside a safe window. Message faults (loss, duplication,
 //    jitter, spikes) are fully supported — the filter's single RNG stream is
 //    consumed at window barriers in exact serial order.
-//  * Direct sends must carry latency >= 1 tick (asserted), and a custom
-//    ClosedLoopConfig::notify_latency must be pure and thread-safe — lanes
-//    evaluate it concurrently.
+//  * Direct sends must clear the direct-send floor folded into the
+//    lookahead (>= 1 tick); a delivery inside its own window is asserted.
 #pragma once
 
 #include <cstdint>

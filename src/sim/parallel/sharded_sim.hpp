@@ -24,10 +24,13 @@
 //    which the serial run would have made these calls.
 //  * The merge assigns each entry the next global sequence number — the
 //    very value the serial core's schedule counter would have produced —
-//    and only then finalizes sends: latency sampling, fault draws, FIFO
+//    and only then times sends through the NetworkModel (sim/network.hpp)
+//    the serial Network calls: latency sampling, fault draws, FIFO
 //    clamping and stats all run serially at the barrier in merged order, so
 //    stateful samplers, the fault filter's single RNG stream and the
-//    per-edge FIFO horizons evolve exactly as in the serial run.
+//    per-edge FIFO horizons evolve exactly as in the serial run. The
+//    model's service step runs lane-side, on the lane owning the receiving
+//    node (its horizon is element-owned by that lane).
 //  * Calls whose target lies inside the current window (possible only for
 //    local events — sends are bounded below by L) are enqueued immediately
 //    under a provisional key above every real seq (kProvBase + i, FIFO
@@ -94,13 +97,9 @@ class ShardedNetSim {
   class LaneCtx;
 
   ShardedNetSim(const Index& index, Latency latency, Faults faults, Setup setup)
-      : index_(index),
-        latency_(std::move(latency)),
-        faults_(std::move(faults)),
+      : model_(index, std::move(latency), std::move(faults)),
         partition_(std::move(setup.partition)),
         lookahead_(std::max<Time>(1, setup.lookahead)),
-        fifo_ready_(index.dir_edge_count(), 0),
-        busy_until_(static_cast<std::size_t>(index.node_count()), 0),
         lanes_(static_cast<std::size_t>(partition_.shard_count())) {
     ARROWDQ_ASSERT_MSG(partition_.node_count() == index.node_count(),
                        "partition does not cover the node set");
@@ -112,10 +111,7 @@ class ShardedNetSim {
 
   void set_handler(Handler h) { handler_ = std::move(h); }
 
-  void set_service_time(Time ticks) {
-    ARROWDQ_ASSERT_MSG(ticks >= 0, "service time must be >= 0");
-    service_time_ = ticks;
-  }
+  void set_service_time(Time ticks) { model_.set_service_time(ticks); }
 
   /// Capacity hint, split across lanes. Messages travel inline in their
   /// delivery events, so the message hint is the serial pool's alone.
@@ -132,12 +128,12 @@ class ShardedNetSim {
   int lane_count() const { return static_cast<int>(lanes_.size()); }
   const ShardPartition& partition() const { return partition_; }
   Time makespan() const { return makespan_; }
-  const NetworkStats& stats() const { return stats_; }
+  const NetworkStats& stats() const { return model_.stats(); }
   const ParallelStats& parallel_stats() const { return stats_par_; }
   /// Where LaneCtx::record's per-lane buffers land after the run.
   void record_into(QueuingOutcome& out) { out_ = &out; }
-  Faults& faults() { return faults_; }
-  const Faults& faults() const { return faults_; }
+  Faults& faults() { return model_.faults(); }
+  const Faults& faults() const { return model_.faults(); }
 
   /// Pre-run scheduling (the driver's initial events). Must be called in
   /// the exact order the serial driver would call sim.at(): each post
@@ -182,16 +178,15 @@ class ShardedNetSim {
     Time now() const { return eng_->lanes_[static_cast<std::size_t>(lane_)].sim.now(); }
     int lane() const { return lane_; }
 
-    /// Network::send — logged here, finalized (latency sample, fault draws,
-    /// FIFO clamp, stats) at the barrier in serial order.
+    /// Network::send — logged here, timed by the NetworkModel at the
+    /// barrier in serial order.
     void send(NodeId from, NodeId to, M msg) {
       eng_->log_call(lane_, LogKind::kEdgeSend, /*t_or_lat=*/0, SendRec{msg, from, to});
     }
 
-    /// Network::send_with_latency. The sharded engine requires latency >=
-    /// the direct-send floor folded into the lookahead (>= 1).
+    /// Network::send_with_latency. The latency must clear the direct-send
+    /// floor folded into the lookahead (push_deliver asserts it).
     void send_with_latency(NodeId from, NodeId to, Time latency, M msg) {
-      ARROWDQ_ASSERT_MSG(latency >= 1, "sharded direct sends need latency >= 1 tick");
       eng_->log_call(lane_, LogKind::kDirectSend, latency, SendRec{msg, from, to});
     }
 
@@ -265,8 +260,6 @@ class ShardedNetSim {
     bool in_service;
     void operator()() const { eng->on_deliver(from, to, msg, in_service); }
   };
-  static_assert(Sim::template fits_inline_v<DeliverEvent>,
-                "DeliverEvent must stay on the lane simulators' inline path");
 
   struct alignas(64) Lane {
     Sim sim;
@@ -424,16 +417,13 @@ class ShardedNetSim {
     }
   }
 
-  /// Lane-side delivery: the exact serial Network::deliver two-phase flow.
-  /// busy_until_[to] is only ever touched by to's owner lane.
+  /// Lane-side delivery: the serial Network::deliver two-phase flow. Only
+  /// the lane owning `to` runs the model's service step for `to`.
   void on_deliver(NodeId from, NodeId to, const M& msg, bool in_service) {
     const int lane = lane_of(to);
     Lane& l = lanes_[static_cast<std::size_t>(lane)];
-    if (service_time_ != 0 && !in_service) {
-      Time& busy = busy_until_[static_cast<std::size_t>(to)];
-      const Time start = std::max(l.sim.now(), busy);
-      const Time done = start + service_time_;
-      busy = done;
+    if (model_.serial_service() && !in_service) {
+      const Time done = model_.serve(to, l.sim.now());
       // The serial core consumes one seq for the re-arm here.
       const std::uint32_t ci = call_index(l);
       if (done < win_end_) {
@@ -481,22 +471,29 @@ class ShardedNetSim {
     // Each lane's log is already sorted by the merge key (appended in lane
     // execution order, which the header argues equals serial order
     // restricted to the lane), so a K-way head scan merges in serial order.
+    // The scan carries a pointer to the best head entry instead of
+    // re-reading it through `best` at each comparison: GCC 12 -O3 turned the
+    // re-read form into a conditional move feeding the next load, which
+    // made the barrier ~50% slower on fig10_sharded.
     head_.assign(static_cast<std::size_t>(k), 0);
     for (;;) {
       int best = -1;
+      const LogEntry* best_e = nullptr;
       for (int i = 0; i < k; ++i) {
         const Lane& l = lanes_[static_cast<std::size_t>(i)];
-        if (head_[static_cast<std::size_t>(i)] >= l.log.size()) continue;
-        if (best < 0 ||
-            entry_before(l, l.log[head_[static_cast<std::size_t>(i)]],
-                         lanes_[static_cast<std::size_t>(best)],
-                         lanes_[static_cast<std::size_t>(best)]
-                             .log[head_[static_cast<std::size_t>(best)]]))
+        const std::size_t h = head_[static_cast<std::size_t>(i)];
+        if (h >= l.log.size()) continue;
+        const LogEntry& c = l.log[h];
+        if (best_e == nullptr ||
+            entry_before(l, c, lanes_[static_cast<std::size_t>(best)], *best_e)) {
           best = i;
+          best_e = &c;
+        }
       }
       if (best < 0) break;
       Lane& l = lanes_[static_cast<std::size_t>(best)];
-      const LogEntry& e = l.log[head_[static_cast<std::size_t>(best)]++];
+      ++head_[static_cast<std::size_t>(best)];
+      const LogEntry& e = *best_e;
       const std::uint64_t seq = vseq_++;
       ARROWDQ_ASSERT_MSG(seq < kProvBase, "sequence space exhausted");
       ++stats_par_.merged_entries;
@@ -517,12 +514,19 @@ class ShardedNetSim {
               e.t_or_lat, seq, DeliverEvent{this, s.from, s.to, s.msg, true});
           break;
         }
-        case LogKind::kEdgeSend:
-          finalize_edge_send(e, l.sends[e.payload], seq);
+        case LogKind::kEdgeSend: {
+          // The model runs here in merged (serial) order, so the sampler
+          // and fault RNG streams and the FIFO horizons see the draws in
+          // exactly the serial sequence.
+          const SendRec& s = l.sends[e.payload];
+          push_deliver(model_.edge_delivery(s.from, s.to, e.sched), seq, s);
           break;
-        case LogKind::kDirectSend:
-          finalize_direct_send(e, l.sends[e.payload], seq);
+        }
+        case LogKind::kDirectSend: {
+          const SendRec& s = l.sends[e.payload];
+          push_deliver(model_.direct_delivery(s.from, s.to, e.sched, e.t_or_lat), seq, s);
           break;
+        }
       }
     }
     for (Lane& l : lanes_) {
@@ -532,45 +536,6 @@ class ShardedNetSim {
       l.resolve.clear();
       l.prov_count = 0;
     }
-  }
-
-  /// The serial Network::send, executed at the barrier in merged
-  /// (serial) order: sampler and fault RNG streams and the FIFO horizons
-  /// see the draws in exactly the serial sequence.
-  void finalize_edge_send(const LogEntry& e, const SendRec& s, std::uint64_t seq) {
-    DirEdgeRef edge = index_.find_edge(s.from, s.to);
-    ARROWDQ_ASSERT_MSG(edge, "send over a non-edge");
-    Time lat = latency_(s.from, s.to, edge.weight);
-    ARROWDQ_ASSERT(lat >= 1);
-    bool duplicated = false;
-    if constexpr (Faults::kActive) {
-      EdgeFaultResult f = faults_.on_edge(s.from, s.to, lat);
-      lat = f.latency;
-      duplicated = f.duplicated;
-    }
-    Time deliver = e.sched + lat;
-    Time& ready = fifo_ready_[static_cast<std::size_t>(edge.id)];
-    if (deliver < ready) deliver = ready;
-    if constexpr (Faults::kActive) {
-      deliver = faults_.defer(s.to, deliver);
-    }
-    ready = deliver;
-    if constexpr (Faults::kActive) {
-      if (duplicated) ready += lat;
-    }
-    ++stats_.edge_messages;
-    stats_.total_edge_latency += lat;
-    push_deliver(deliver, seq, s);
-  }
-
-  void finalize_direct_send(const LogEntry& e, const SendRec& s, std::uint64_t seq) {
-    Time deliver = e.sched + e.t_or_lat;
-    if constexpr (Faults::kActive) {
-      deliver = e.sched + faults_.on_direct(s.from, s.to, e.t_or_lat);
-      deliver = faults_.defer(s.to, deliver);
-    }
-    ++stats_.direct_messages;
-    push_deliver(deliver, seq, s);
   }
 
   void push_deliver(Time deliver, std::uint64_t seq, const SendRec& s) {
@@ -588,23 +553,17 @@ class ShardedNetSim {
   /// executed event time). Lane-side targets fold in via local_makespan.
   void note_makespan(Time t) { makespan_ = std::max(makespan_, t); }
 
-  const Index& index_;
-  Latency latency_;
-  Faults faults_;
+  NetworkModel<Latency, Faults, Index> model_;
   Handler handler_{};
   QueuingOutcome* out_ = nullptr;
   ShardPartition partition_;
   Time lookahead_;
-  Time service_time_ = 0;
   Time win_end_ = 0;
   Time makespan_ = 0;
   bool running_ = false;
   std::uint64_t vseq_ = 0;
-  std::vector<Time> fifo_ready_;  // barrier-serial only
-  std::vector<Time> busy_until_;  // element-owned by the node's lane
   std::vector<Lane> lanes_;
   std::vector<std::size_t> head_;  // merge scratch
-  NetworkStats stats_;
   ParallelStats stats_par_;
 };
 

@@ -6,10 +6,11 @@
 // the paper's lemmas.
 //
 // Hot-path design: `at(t, fn)` type-erases `fn` into a fixed-size slot of a
-// free-listed arena — no heap allocation when the callable is trivially
-// copyable and fits kInlineStorage bytes, which covers every protocol event
-// in this codebase (oversized or non-trivial callables transparently fall
-// back to one heap allocation). The priority queue orders only 16-byte
+// free-listed arena, with no heap allocation. There is one scheduling path:
+// an event callable must be trivially copyable and destructible and fit
+// kInlineStorage bytes, and at_seq static_asserts it (every protocol event
+// in this codebase is pointer + id sized). `at` is `at_seq` with the next
+// value of the schedule counter. The priority queue orders only 16-byte
 // (time, seq|slot) handles, so sift operations never touch the payloads.
 // Each event's invoke wrapper copies the callable out of the arena and
 // frees the slot *before* running it, which keeps nested scheduling safe
@@ -28,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,24 +41,22 @@
 namespace arrowdq {
 
 /// `InlineBytes` sets the arena's inline-callable budget and thereby the
-/// slot size (16-byte invoke/destroy header + storage): the default 48
+/// slot size (the invoke pointer, padded to 16 bytes, + storage): the default 48
 /// yields 64-byte slots (one cache line); 16 yields a 32-byte "compact"
 /// slot that doubles arena cache density for 16-byte events such as the
 /// network's DeliveryEvent (bench_throughput measures both).
 template <typename Queue, std::size_t InlineBytes = 48>
 class BasicSimulator {
  public:
-  /// Callables at most this large (and trivially copyable/destructible)
-  /// schedule without touching the heap.
+  /// The largest event callable (trivially copyable and destructible) the
+  /// arena holds.
   static constexpr std::size_t kInlineStorage = InlineBytes;
-  // The storage doubles as a boxed-callable pointer and as the intrusive
-  // free-list link, so it can never shrink below either.
-  static_assert(InlineBytes >= sizeof(void*) && InlineBytes >= sizeof(std::uint32_t),
-                "inline storage must hold a pointer (boxed path) and a free-list index");
+  // The storage doubles as the intrusive free-list link.
+  static_assert(InlineBytes >= sizeof(std::uint32_t),
+                "inline storage must hold a free-list index");
 
-  /// True when F schedules on the zero-allocation inline path. Protocol
-  /// event types static_assert this so a future field addition cannot
-  /// silently fall onto the heap-boxed path.
+  /// True when F can be scheduled: at_seq static_asserts it, so a field
+  /// added to a protocol event that outgrows the slot fails to compile.
   template <typename F>
   static constexpr bool fits_inline_v =
       sizeof(F) <= kInlineStorage && alignof(F) <= alignof(std::max_align_t) &&
@@ -81,7 +79,6 @@ class BasicSimulator {
   }
   BasicSimulator& operator=(BasicSimulator&& other) noexcept {
     if (this != &other) {
-      discard_pending();
       queue_ = std::move(other.queue_);
       slots_ = std::move(other.slots_);
       batch_ = std::move(other.batch_);
@@ -95,7 +92,6 @@ class BasicSimulator {
     }
     return *this;
   }
-  ~BasicSimulator() { discard_pending(); }
 
   Time now() const { return now_; }
 
@@ -109,37 +105,7 @@ class BasicSimulator {
   /// Schedule `fn` at absolute time t >= now().
   template <typename F>
   void at(Time t, F&& fn) {
-    ARROWDQ_ASSERT_MSG(t >= now_, "cannot schedule into the past");
-    ARROWDQ_ASSERT_MSG(next_seq_ < EventEntry::kMaxSeq, "event sequence space exhausted");
-    using Fn = std::decay_t<F>;
-    std::uint32_t slot;
-    if constexpr (fits_inline_v<Fn>) {
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
-      // The wrapper knows sizeof(Fn): it copies exactly that much to the
-      // stack, recycles the slot, then runs — so a nested at() can both
-      // grow the arena and reuse this very slot safely.
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        Fn local = *std::launder(reinterpret_cast<Fn*>(self->slots_[sl].storage));
-        self->release_slot(sl);
-        local();
-      };
-      s.destroy = nullptr;
-    } else {
-      // Box first, acquire after: a throwing copy must not strand a slot.
-      auto boxed = std::make_unique<Fn>(std::forward<F>(fn));
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) (Fn*)(boxed.release());
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        std::unique_ptr<Fn> f(*std::launder(reinterpret_cast<Fn**>(self->slots_[sl].storage)));
-        self->release_slot(sl);
-        (*f)();
-      };
-      s.destroy = [](void* p) { delete *std::launder(static_cast<Fn**>(p)); };
-    }
-    queue_.push(EventEntry::make(t, next_seq_++, slot));
+    at_seq(t, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at now() + delay, delay >= 0.
@@ -157,32 +123,23 @@ class BasicSimulator {
   /// any single time bucket, successive pushes must carry increasing seqs.
   template <typename F>
   void at_seq(Time t, std::uint64_t seq, F&& fn) {
-    ARROWDQ_ASSERT_MSG(t >= now_, "cannot schedule into the past");
-    ARROWDQ_ASSERT_MSG(seq < EventEntry::kMaxSeq, "event sequence out of range");
     using Fn = std::decay_t<F>;
-    std::uint32_t slot;
-    if constexpr (fits_inline_v<Fn>) {
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        Fn local = *std::launder(reinterpret_cast<Fn*>(self->slots_[sl].storage));
-        self->release_slot(sl);
-        local();
-      };
-      s.destroy = nullptr;
-    } else {
-      auto boxed = std::make_unique<Fn>(std::forward<F>(fn));
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) (Fn*)(boxed.release());
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        std::unique_ptr<Fn> f(*std::launder(reinterpret_cast<Fn**>(self->slots_[sl].storage)));
-        self->release_slot(sl);
-        (*f)();
-      };
-      s.destroy = [](void* p) { delete *std::launder(static_cast<Fn**>(p)); };
-    }
+    static_assert(fits_inline_v<Fn>,
+                  "event callables must be trivially copyable and destructible and fit "
+                  "kInlineStorage bytes");
+    ARROWDQ_ASSERT_MSG(t >= now_, "cannot schedule into the past");
+    ARROWDQ_ASSERT_MSG(seq < EventEntry::kMaxSeq, "event sequence space exhausted");
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slots_[slot];
+    ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
+    // The wrapper knows sizeof(Fn): it copies exactly that much to the
+    // stack, recycles the slot, then runs — so a nested at() can both grow
+    // the arena and reuse this very slot safely.
+    s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
+      Fn local = *std::launder(reinterpret_cast<Fn*>(self->slots_[sl].storage));
+      self->release_slot(sl);
+      local();
+    };
     queue_.push(EventEntry::make(t, seq, slot));
   }
 
@@ -246,8 +203,6 @@ class BasicSimulator {
 
   struct Slot {
     void (*invoke)(BasicSimulator*, std::uint32_t) = nullptr;
-    /// Non-null only for heap-boxed callables; frees without invoking.
-    void (*destroy)(void*) = nullptr;
     // Live: the type-erased callable. Free: the first 4 bytes hold the next
     // free slot's index (intrusive free list).
     alignas(std::max_align_t) unsigned char storage[kInlineStorage];
@@ -291,21 +246,6 @@ class BasicSimulator {
     executed_ = 0;
   }
 
-  /// Frees heap-boxed callables of never-executed events (destruction or
-  /// move-assignment over a simulator abandoned mid-run), including any
-  /// still waiting in the drained same-tick batch.
-  void discard_pending() {
-    for (; batch_pos_ < batch_.size(); ++batch_pos_) {
-      Slot& s = slots_[batch_[batch_pos_].slot()];
-      if (s.destroy) s.destroy(s.storage);
-    }
-    while (!queue_.empty()) {
-      EventEntry e = queue_.pop();
-      Slot& s = slots_[e.slot()];
-      if (s.destroy) s.destroy(s.storage);
-    }
-  }
-
   Queue queue_;
   std::vector<Slot> slots_;
   /// Current same-tick run, drained from the queue in one pop_run; entries
@@ -328,11 +268,11 @@ class BasicSimulator {
 using Simulator = BasicSimulator<BucketedEventQueue>;
 
 /// 32-byte-slot variant (16-byte inline budget): double the arena cache
-/// density for drivers whose events are all pointer+index sized, at the
-/// cost of boxing anything larger. Measured against the default by
+/// density for drivers whose events are all pointer+index sized; a larger
+/// event does not compile on it. Measured against the default by
 /// bench_throughput's event_core_compact section; the 64-byte slot stays
-/// the default because every protocol driver also schedules 24-40-byte
-/// issue events that must not fall onto the heap path.
+/// the default because the one-shot drivers schedule 24-40-byte issue
+/// events.
 using CompactSimulator = BasicSimulator<BucketedEventQueue, 16>;
 
 extern template class BasicSimulator<BucketedEventQueue>;

@@ -470,6 +470,30 @@ TEST(ShardedExperiment, RegistryRoutingAndValidation) {
     EXPECT_NE(validate_experiment(e), std::nullopt)
         << "token passing replays an analytic order — inherently serial";
   }
+  // One shardability rule: for every protocol, both modes and every fault
+  // family, shardable() holds exactly when shards = 2 validates.
+  const ProtocolSpec protocols[] = {
+      ProtocolSpec::arrow_one_shot(), ProtocolSpec::arrow_closed_loop(),
+      ProtocolSpec::centralized(), ProtocolSpec::pointer_forwarding(),
+      ProtocolSpec::token_passing()};
+  const FaultSpec faults[] = {FaultSpec::none(), FaultSpec::loss(0.05), FaultSpec::crash(2),
+                              FaultSpec::partition(2), FaultSpec::churn(0.5)};
+  for (const ProtocolSpec& proto : protocols) {
+    for (std::int64_t rounds : {0, 3}) {
+      for (const FaultSpec& fault : faults) {
+        Experiment e;
+        e.protocol = proto;
+        e.topology = TopologySpec::random_tree(32, /*seed=*/5);
+        e.rounds = rounds;
+        e.fault = fault;
+        ASSERT_EQ(validate_experiment(e), std::nullopt)
+            << proto.name() << " rounds=" << rounds << " " << fault.name();
+        e.shards = 2;
+        EXPECT_EQ(shardable(e), !validate_experiment(e).has_value())
+            << proto.name() << " rounds=" << rounds << " " << fault.name();
+      }
+    }
+  }
 }
 
 // Every sharded entry wired through Experiment::shards beyond the original

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -80,53 +79,44 @@ TEST(SimulatorTest, EqualTimeFifoAcrossManyEventsWithNestedScheduling) {
   EXPECT_EQ(sim.events_executed(), 12u);
 }
 
-// Ties must also hold across the two scheduling paths (inline arena slot vs
-// heap-boxed fallback for oversized callables) and both queue variants.
-TEST(SimulatorTest, EqualTimeFifoAcrossInlineAndBoxedEvents) {
-  std::vector<int> log;
-  auto drive = [&log](auto& sim) {
-    log.clear();
-    struct Big {
-      std::array<std::uint64_t, 16> pad;  // > kInlineStorage: boxed path
-      std::vector<int>* out;
-      int tag;
-      void operator()() const { out->push_back(tag); }
-    };
-    for (int i = 0; i < 8; ++i) {
-      if (i % 2) {
-        sim.at(3, Big{{}, &log, i});
-      } else {
-        sim.at(3, [&log, i] { log.push_back(i); });
-      }
-    }
-    sim.run();
-  };
-  auto expect_fifo = [&log] {
-    ASSERT_EQ(log.size(), 8u);
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
-  };
-  Simulator bucketed;
-  drive(bucketed);
-  expect_fifo();
-  CompactSimulator compact;
-  drive(compact);
-  expect_fifo();
-  BasicSimulator<BinaryEventQueue> binary;
-  drive(binary);
-  expect_fifo();
+// Ties must also hold across callables of different sizes sharing one
+// instant (a 4-byte event and one filling the whole inline budget), on both
+// slot widths and both queue variants.
+std::vector<int>& tie_log() {
+  static std::vector<int> log;
+  return log;
 }
 
-// Abandoning a simulator with pending boxed events must free them (the
-// destructor and move-assignment share discard_pending).
-TEST(SimulatorTest, DiscardsPendingBoxedEventsOnReset) {
-  auto counter = std::make_shared<int>(0);
-  Simulator sim;
-  sim.at(5, [counter, big = std::array<std::uint64_t, 16>{}] { ++*counter; });
-  EXPECT_EQ(sim.events_pending(), 1u);
-  sim = Simulator{};  // shared_ptr in the boxed closure must be released
-  EXPECT_EQ(sim.events_pending(), 0u);
-  EXPECT_EQ(counter.use_count(), 1);
-  EXPECT_EQ(*counter, 0);
+template <typename Sim>
+void expect_fifo_across_event_sizes() {
+  struct Small {
+    int tag;
+    void operator()() const { tie_log().push_back(tag); }
+  };
+  struct Wide {
+    int tag;
+    std::array<unsigned char, Sim::kInlineStorage - sizeof(int)> pad;
+    void operator()() const { tie_log().push_back(tag); }
+  };
+  static_assert(sizeof(Small) < sizeof(Wide) && sizeof(Wide) == Sim::kInlineStorage);
+  tie_log().clear();
+  Sim sim;
+  for (int i = 0; i < 8; ++i) {
+    if (i % 2) {
+      sim.at(3, Wide{i, {}});
+    } else {
+      sim.at(3, Small{i});
+    }
+  }
+  sim.run();
+  ASSERT_EQ(tie_log().size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(tie_log()[static_cast<std::size_t>(i)], i);
+}
+
+TEST(SimulatorTest, EqualTimeFifoAcrossEventSizes) {
+  expect_fifo_across_event_sizes<Simulator>();
+  expect_fifo_across_event_sizes<CompactSimulator>();
+  expect_fifo_across_event_sizes<BasicSimulator<BinaryEventQueue>>();
 }
 
 // Moving from a non-empty simulator must leave the source empty and usable
