@@ -139,6 +139,35 @@ TEST(SimulatorTest, MovedFromSimulatorIsEmptyAndUsable) {
   drive(BasicSimulator<BinaryEventQueue>{});
 }
 
+// Assigning a fresh simulator over one with pending events must drop them
+// unrun and restart the clock and counters, for every queue variant and
+// slot size.
+TEST(SimulatorTest, DiscardsPendingEventsOnReset) {
+  auto drive = [](auto sim) {
+    using Sim = decltype(sim);
+    int fired = 0;
+    sim.at(5, [&fired] { fired += 1; });
+    sim.at(7, [&fired] { fired += 10; });
+    sim.at(9, [&fired] { fired += 100; });
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(sim.now(), 5);
+    EXPECT_EQ(sim.events_pending(), 2u);
+    sim = Sim{};
+    EXPECT_TRUE(sim.idle());
+    EXPECT_EQ(sim.events_pending(), 0u);
+    EXPECT_EQ(sim.now(), 0);
+    EXPECT_EQ(sim.events_executed(), 0u);
+    sim.at(1, [&fired] { fired += 1000; });  // before the old clock: legal again
+    sim.run();
+    EXPECT_EQ(fired, 1001);
+    EXPECT_EQ(sim.now(), 1);
+    EXPECT_EQ(sim.events_executed(), 1u);
+  };
+  drive(Simulator{});
+  drive(CompactSimulator{});
+  drive(BasicSimulator<BinaryEventQueue>{});
+}
+
 TEST(SimulatorTest, StepReturnsFalseWhenIdle) {
   Simulator sim;
   EXPECT_FALSE(sim.step());
