@@ -420,7 +420,7 @@ DistTicksFn dist_fn(Dist dist) {
 }  // namespace
 
 template <>
-RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, const Resolved& r) {
   auto model = e.latency.make();
   const int shards = effective_shards(e);
   if (shards > 1) {
@@ -467,29 +467,30 @@ RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r
 }
 
 template <>
-RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, const Resolved& r) {
   ARROWDQ_ASSERT_MSG(e.rounds > 0, "arrow closed loop needs rounds > 0");
   auto model = e.latency.make();
   ClosedLoopConfig cfg;
   cfg.requests_per_node = e.rounds;
   cfg.service_time = e.protocol.service_time;
   cfg.fault = e.fault;
-  // The scale path: structured family, closed-form tree, no crash schedule
-  // (the recovery wave needs a materialized tree) — run the implicit driver
+  // The scale path: structured family, closed-form tree, no topology fault
+  // (the recovery waves need a materialized tree) — run the implicit driver
   // with compact 32-byte event slots instead of building Graph + Tree.
   // Shards > 1 routes to the conservative parallel engine (sim/parallel/),
   // bit-identical to the serial drivers by construction.
+  const bool implicit_loop = r.implicit && !e.fault.has_topology_faults();
   const int shards = effective_shards(e);
   ClosedLoopResult loop;
   if (shards > 1) {
     ShardSpec spec;
     spec.shards = shards;
-    loop = r.implicit_loop
+    loop = implicit_loop
                ? run_arrow_closed_loop_implicit_sharded(*r.implicit, *model, cfg, spec)
                : run_arrow_closed_loop_sharded(r.tree, *model, cfg, spec);
   } else {
-    loop = r.implicit_loop ? run_arrow_closed_loop_implicit(*r.implicit, *model, cfg)
-                           : run_arrow_closed_loop(r.tree, *model, cfg);
+    loop = implicit_loop ? run_arrow_closed_loop_implicit(*r.implicit, *model, cfg)
+                         : run_arrow_closed_loop(r.tree, *model, cfg);
   }
   RunResult res;
   res.protocol = e.protocol.kind;
@@ -511,7 +512,7 @@ RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, Resolved
 }
 
 template <>
-RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, const Resolved& r) {
   CentralizedConfig cfg;
   cfg.center = e.protocol.center;
   cfg.service_time = e.protocol.service_time;
@@ -560,7 +561,7 @@ RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, Resolved& r)
 }
 
 template <>
-RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, const Resolved& r) {
   PointerForwardingConfig cfg;
   cfg.mode = e.protocol.mode;
   cfg.service_time = e.protocol.service_time;
@@ -613,7 +614,7 @@ RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, Resolv
 }
 
 template <>
-RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, const Resolved& r) {
   // The token rides on an arrow execution: queue first (consuming the
   // latency model's stream exactly as a standalone arrow run would), then
   // circulate the token through the same model — identical to the legacy
@@ -676,7 +677,6 @@ Resolved resolve(const Experiment& e) {
     const bool needs_tree = p == Protocol::kArrowOneShot || p == Protocol::kTokenPassing ||
                             (p == Protocol::kArrowClosedLoop && e.fault.has_topology_faults());
     if (needs_tree) r.tree = r.implicit->materialize_tree();
-    r.implicit_loop = (p == Protocol::kArrowClosedLoop && !e.fault.has_topology_faults());
   }
   r.rows = t.rows;
   r.cols = t.cols;
@@ -823,20 +823,23 @@ RunResult run_experiment(const Experiment& e) {
   ARROWDQ_ASSERT_MSG(!e.analyze || e.keep_outcome,
                      "Experiment::analyze requires keep_outcome");
   if (auto err = validate_experiment(e)) ARROWDQ_ASSERT_MSG(false, err->c_str());
-  exp_detail::Resolved r = exp_detail::resolve(e);
-  RunResult res = exp_detail::kDriverRegistry[index](e, r);
+  const exp_detail::Resolved r = exp_detail::resolve(e);
+  const exp_detail::DriverFn driver = exp_detail::kDriverRegistry[index];
+  RunResult res = driver(e, r);
   res.peak_rss_bytes = peak_rss_bytes_now();
   if (e.analyze && res.outcome)
     res.competitive = analyze_competitive(r.graph, r.tree, r.requests, *res.outcome);
   if (e.fault.active()) {
-    // Recovery cost in one number: re-run the identical scenario fault-free
+    // Recovery cost in one number: run the identical scenario fault-free
     // (same seeds, same topology/workload/latency) and report the makespan
-    // delta. The twin recursion terminates because its fault is inactive.
+    // delta. The twin runs on this cell's own graph, tree, APSP table and
+    // requests; tests/fault_test.cpp pins its result to a freshly resolved
+    // run_experiment(twin).
     Experiment twin = e;
     twin.fault = FaultSpec::none();
     twin.keep_outcome = false;
     twin.analyze = false;
-    RunResult base = run_experiment(twin);
+    const RunResult base = driver(twin, r);
     res.recovery_delta_units = static_cast<double>(res.makespan - base.makespan) /
                                static_cast<double>(kTicksPerUnit);
     // The topology-fault flavour: only meaningful (and only emitted in JSON)

@@ -453,7 +453,8 @@ std::optional<std::string> validate_experiment(const Experiment& e);
 /// Run one experiment through the protocol registry. Asserts on malformed
 /// combinations (closed-loop rounds for pointer forwarding, rounds == 0 for
 /// kArrowClosedLoop, anything validate_experiment rejects). When a fault
-/// schedule is active, additionally runs the fault-free twin to fill
+/// schedule is active, additionally runs the fault-free twin, on this cell's
+/// own graph, tree, APSP table and requests, to fill
 /// RunResult::recovery_delta_units.
 RunResult run_experiment(const Experiment& e);
 

@@ -64,12 +64,13 @@ struct Resolved {
   /// closed forms (and materializes the tree in O(n) when a driver needs
   /// one).
   std::optional<ImplicitTopology> implicit;
-  /// kArrowClosedLoop only: run the compact implicit driver instead of the
-  /// materialized one.
-  bool implicit_loop = false;
 };
 
-using DriverFn = RunResult (*)(const Experiment&, Resolved&);
+/// Drivers only read their Resolved. run_experiment hands a fault cell's own
+/// Resolved to the cell's fault-free twin: a fault schedule or analysis only
+/// ever adds to what resolve() builds (a materialized tree or graph), and
+/// each driver picks its path from the Experiment it is given.
+using DriverFn = RunResult (*)(const Experiment&, const Resolved&);
 
 /// Materialize (or deliberately skip materializing) everything `e`'s driver
 /// needs. Exposed for tests probing the scale-path decisions (e.g. that no
@@ -77,18 +78,18 @@ using DriverFn = RunResult (*)(const Experiment&, Resolved&);
 Resolved resolve(const Experiment& e);
 
 template <Protocol P>
-RunResult run_protocol(const Experiment& e, Resolved& r);
+RunResult run_protocol(const Experiment& e, const Resolved& r);
 
 template <>
-RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, const Resolved& r);
 
 inline constexpr std::array<DriverFn, kProtocolCount> kDriverRegistry = {
     &run_protocol<Protocol::kArrowOneShot>,

@@ -28,10 +28,11 @@ double expected_comm_cost(const Tree& tree, const std::vector<double>& probs) {
 
 NodeId weighted_median(const Graph& g, const std::vector<double>& probs) {
   ARROWDQ_ASSERT_MSG(static_cast<NodeId>(probs.size()) == g.node_count(), "probability vector size must equal n");
+  const AllPairs apsp(g);
   NodeId best = 0;
   double best_cost = -1.0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    auto d = sssp(g, v);
+    const std::span<const Weight> d = apsp.row(v);
     double cost = 0.0;
     for (NodeId u = 0; u < g.node_count(); ++u) {
       ARROWDQ_ASSERT_MSG(d[static_cast<std::size_t>(u)] != kUnreachable,

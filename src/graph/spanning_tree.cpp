@@ -128,10 +128,11 @@ Tree random_spanning_tree(const Graph& g, NodeId root, Rng& rng) {
 
 Tree median_spt(const Graph& g) {
   // Median = argmin_v sum_u dG(v, u).
+  const AllPairs apsp(g);
   NodeId best = 0;
   Weight best_sum = -1;
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    auto d = sssp(g, v);
+    const std::span<const Weight> d = apsp.row(v);
     Weight sum = std::accumulate(d.begin(), d.end(), Weight{0});
     if (best_sum < 0 || sum < best_sum) {
       best_sum = sum;

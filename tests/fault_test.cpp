@@ -855,5 +855,75 @@ TEST(FaultProperty, RecoveryDeltaFilledOnlyForFaultyCells) {
               1e-9);
 }
 
+
+TEST(FaultProperty, FaultFreeTwinOnSharedInputsMatchesAFreshRun) {
+  // run_experiment runs a fault cell's fault-free twin on the cell's own
+  // resolved graph, tree, APSP table and requests. Every fault cell of a
+  // small grid must report the deltas a freshly resolved twin gives:
+  // every driver branch x implicit and irregular families x one message and
+  // two topology faults. Arrow-loop under crash on complete/grid is the cell
+  // whose twin switches to the implicit driver; the arrow one-shot cells
+  // analyze, which materializes a graph the fresh twin never builds.
+  struct Proto {
+    ProtocolSpec spec;
+    bool loop;
+  };
+  const Time service = kTicksPerUnit / 16;
+  const Proto protos[] = {
+      {ProtocolSpec::arrow_one_shot(service), false},
+      {ProtocolSpec::arrow_closed_loop(service), true},
+      {ProtocolSpec::centralized(0, service), false},
+      {ProtocolSpec::centralized(0, service), true},
+      {ProtocolSpec::pointer_forwarding(ForwardingMode::kCompressToRequester, service), false},
+      {ProtocolSpec::pointer_forwarding(ForwardingMode::kCompressToRequester, service), true},
+      {ProtocolSpec::token_passing(service), false},
+  };
+  const TopologySpec topos[] = {
+      TopologySpec::complete(16),
+      TopologySpec::random_tree(16, 0),
+      TopologySpec::grid(4, 4),
+      TopologySpec::geometric(16, 0, 0.4),
+  };
+  const FaultSpec faults[] = {
+      FaultSpec::loss(0.05),
+      FaultSpec::crash(2, /*downtime_units=*/2.0, /*period_units=*/4.0),
+      FaultSpec::partition(2, /*downtime_units=*/2.0, /*period_units=*/4.0),
+  };
+  std::uint64_t seed = 900;
+  int cells = 0;
+  for (const Proto& p : protos)
+    for (const TopologySpec& topo : topos)
+      for (const FaultSpec& fault : faults) {
+        Experiment e;
+        e.protocol = p.spec;
+        e.topology = topo;
+        e.latency = LatencySpec::truncated_exp(0, 0.3);
+        e.fault = fault;
+        if (p.loop)
+          e.rounds = 6;
+        else
+          e.workload = WorkloadSpec::poisson(24, 1.0, 0);
+        if (p.spec.kind == Protocol::kArrowOneShot) e.keep_outcome = e.analyze = true;
+        e = e.with_seed(++seed);
+        const std::string label = e.default_label() + (p.loop ? " loop" : "");
+
+        const RunResult res = run_experiment(e);
+        Experiment twin = e;
+        twin.fault = FaultSpec::none();
+        twin.keep_outcome = false;
+        twin.analyze = false;
+        const RunResult base = run_experiment(twin);
+        const double delta = static_cast<double>(res.makespan - base.makespan) /
+                             static_cast<double>(kTicksPerUnit);
+        EXPECT_EQ(res.recovery_delta_units, delta) << label;
+        EXPECT_EQ(res.partition_delta_units, fault.has_partition() ? delta : 0.0) << label;
+        if (e.analyze) {
+          EXPECT_TRUE(res.competitive.has_value()) << label;
+        }
+        ++cells;
+      }
+  EXPECT_EQ(cells, 84);
+}
+
 }  // namespace
 }  // namespace arrowdq

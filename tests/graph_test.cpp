@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -85,6 +87,192 @@ TEST(AllPairsTest, DiameterRadiusCenter) {
   EXPECT_EQ(ap.radius(), 3);
   EXPECT_EQ(ap.center(), 3);
   EXPECT_EQ(ap.dist(2, 5), 3);
+}
+
+// --- AllPairs against an in-test Floyd-Warshall reference -------------------
+
+using Table = std::vector<std::vector<Weight>>;
+
+Table floyd_warshall(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.node_count());
+  Table d(n, std::vector<Weight>(n, kUnreachable));
+  for (std::size_t v = 0; v < n; ++v) d[v][v] = 0;
+  for (const Edge& e : g.edges()) {
+    auto& uv = d[static_cast<std::size_t>(e.u)][static_cast<std::size_t>(e.v)];
+    if (uv == kUnreachable || e.weight < uv) uv = e.weight;
+    d[static_cast<std::size_t>(e.v)][static_cast<std::size_t>(e.u)] = uv;
+  }
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t i = 0; i < n; ++i) {
+      if (d[i][k] == kUnreachable) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (d[k][j] == kUnreachable) continue;
+        const Weight via = d[i][k] + d[k][j];
+        if (d[i][j] == kUnreachable || via < d[i][j]) d[i][j] = via;
+      }
+    }
+  return d;
+}
+
+/// n nodes, about `edges` random edges with weights in [1, max_weight],
+/// parallel edges included; `components` > 1 keeps the node ranges
+/// [c * n / components, (c + 1) * n / components) mutually unreachable.
+Graph random_weighted_graph(NodeId n, int edges, Weight max_weight, int components, Rng& rng) {
+  Graph g(n);
+  const NodeId part = n / components;
+  for (int i = 0; i < edges; ++i) {
+    const auto c = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(components)));
+    const NodeId lo = c * part;
+    const NodeId size = c == components - 1 ? n - lo : part;
+    if (size < 2) continue;
+    const NodeId u = lo + static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(size)));
+    const NodeId v = lo + static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(size)));
+    if (u == v) continue;
+    auto weight = [&] {
+      return 1 + static_cast<Weight>(rng.next_below(static_cast<std::uint64_t>(max_weight)));
+    };
+    g.add_edge(u, v, weight());
+    if (rng.next_below(8) == 0) g.add_edge(v, u, weight());  // parallel, heavier or lighter
+  }
+  return g;
+}
+
+void expect_matches_reference(const Graph& g, const std::string& what) {
+  const AllPairs ap(g);
+  const Table ref = floyd_warshall(g);
+  ASSERT_EQ(ap.node_count(), g.node_count()) << what;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const std::vector<Weight> single = sssp(g, u);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const auto ui = static_cast<std::size_t>(u), vi = static_cast<std::size_t>(v);
+      ASSERT_EQ(ap.dist(u, v), ref[ui][vi]) << what << " dG(" << u << ", " << v << ")";
+      ASSERT_EQ(ap.row(u)[vi], ref[ui][vi]) << what;
+      ASSERT_EQ(single[vi], ref[ui][vi]) << what;
+    }
+  }
+  if (g.node_count() == 0 || !g.is_connected()) return;
+  // diameter / radius / center from the reference table.
+  Weight diameter = 0, radius = kUnreachable;
+  NodeId center = kNoNode;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const auto& row = ref[static_cast<std::size_t>(u)];
+    const Weight ecc = *std::max_element(row.begin(), row.end());
+    diameter = std::max(diameter, ecc);
+    if (radius == kUnreachable || ecc < radius) {
+      radius = ecc;
+      center = u;
+    }
+  }
+  EXPECT_EQ(ap.diameter(), diameter) << what;
+  EXPECT_EQ(ap.radius(), radius) << what;
+  EXPECT_EQ(ap.center(), center) << what;
+}
+
+TEST(AllPairsTest, MatchesFloydWarshallOnRandomGraphs) {
+  // Unit weights, small weights, and weights up to 2^40 (the queue's work
+  // per entry is bounded by the key's bit width, not by the weights).
+  const Weight max_weights[] = {1, 5, Weight{1} << 40};
+  Rng rng(20240);
+  for (Weight max_weight : max_weights)
+    for (int trial = 0; trial < 24; ++trial) {
+      const auto n = static_cast<NodeId>(3 + rng.next_below(40));
+      // Every fourth graph is dense: all nodes are reached early, so the
+      // early stop decides while the frontier can still improve distances.
+      const int edges = trial % 4 == 3
+                            ? static_cast<int>(n * n)
+                            : static_cast<int>(n) * (1 + static_cast<int>(rng.next_below(5)));
+      const int components = trial % 3 == 2 ? 3 : 1;
+      const Graph g = random_weighted_graph(n, edges, max_weight, components, rng);
+      expect_matches_reference(g, "max_weight " + std::to_string(max_weight) + " trial " +
+                                      std::to_string(trial));
+    }
+}
+
+TEST(AllPairsTest, MatchesFloydWarshallOnGeneratedFamilies) {
+  Rng rng(77);
+  expect_matches_reference(make_complete(12), "complete");
+  expect_matches_reference(make_grid(5, 6), "grid");
+  expect_matches_reference(make_hypercube(4), "hypercube");
+  expect_matches_reference(make_random_tree(30, rng), "randtree");
+  expect_matches_reference(make_random_geometric(30, 0.35, rng, 1000), "geometric");
+}
+
+TEST(AllPairsTest, EarlyStopWaitsForTheLastImprovement) {
+  // From 0 every node is reached in the first step (3 and 4 at distance 3),
+  // and whichever of 1 and 2 is settled first, the other still has to cut
+  // one of 3 and 4 down to 2. Stopping one unit early leaves a 3 behind.
+  Graph g(5);
+  g.add_edge(0, 1, 1);
+  g.add_edge(0, 2, 1);
+  g.add_edge(0, 3, 3);
+  g.add_edge(0, 4, 3);
+  g.add_edge(1, 4, 1);
+  g.add_edge(2, 3, 1);
+  const AllPairs ap(g);
+  EXPECT_EQ(ap.dist(0, 3), 2);
+  EXPECT_EQ(ap.dist(0, 4), 2);
+  expect_matches_reference(g, "early stop");
+}
+
+TEST(AllPairsTest, TinyAndDisconnectedGraphs) {
+  const AllPairs empty{Graph(0)};
+  EXPECT_EQ(empty.node_count(), 0);
+  EXPECT_EQ(empty.diameter(), 0);
+
+  const AllPairs one{Graph(1)};
+  EXPECT_EQ(one.dist(0, 0), 0);
+  EXPECT_EQ(one.diameter(), 0);
+  EXPECT_EQ(one.radius(), 0);
+  EXPECT_EQ(one.center(), 0);
+
+  Graph two(2);
+  two.add_edge(0, 1, 7);
+  two.add_edge(1, 0, 3);  // parallel edge: the lighter one wins
+  const AllPairs ap2(two);
+  EXPECT_EQ(ap2.dist(0, 1), 3);
+  EXPECT_EQ(ap2.dist(1, 0), 3);
+  EXPECT_EQ(ap2.diameter(), 3);
+  EXPECT_EQ(ap2.radius(), 3);
+  EXPECT_EQ(ap2.center(), 0);
+
+  const AllPairs apart{Graph(2)};
+  EXPECT_EQ(apart.dist(0, 0), 0);
+  EXPECT_EQ(apart.dist(0, 1), kUnreachable);
+  EXPECT_EQ(apart.dist(1, 0), kUnreachable);
+  expect_matches_reference(Graph(0), "n = 0");
+  expect_matches_reference(Graph(1), "n = 1");
+  expect_matches_reference(two, "n = 2");
+  expect_matches_reference(Graph(2), "n = 2, no edge");
+}
+
+TEST(ShortestPaths, ParentsAreTheSmallestShortestPathNeighbour) {
+  // sssp_with_parents picks, among the neighbours on a shortest path, the
+  // one with the smallest (distance, id): the tie order the shortest-path
+  // trees (and every golden hash built on them) were recorded with.
+  Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto n = static_cast<NodeId>(2 + rng.next_below(30));
+    const Graph g = random_weighted_graph(n, 3 * static_cast<int>(n), trial % 2 == 0 ? 1 : 4,
+                                          trial % 5 == 4 ? 2 : 1, rng);
+    const auto source = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
+    std::vector<NodeId> parents;
+    const std::vector<Weight> d = sssp_with_parents(g, source, parents);
+    for (NodeId v = 0; v < n; ++v) {
+      const Weight dv = d[static_cast<std::size_t>(v)];
+      NodeId expect = kNoNode;
+      if (v != source && dv != kUnreachable)
+        for (NodeId p = 0; p < n; ++p) {
+          const Weight dp = d[static_cast<std::size_t>(p)];
+          if (p == v || dp == kUnreachable || !g.has_edge(p, v)) continue;
+          Weight w = -1;  // lightest parallel edge p - v
+          for (const HalfEdge& he : g.neighbors(p))
+            if (he.to == v && (w < 0 || he.weight < w)) w = he.weight;
+          if (dp + w != dv) continue;
+          if (expect == kNoNode || dp < d[static_cast<std::size_t>(expect)]) expect = p;
+        }
+      EXPECT_EQ(parents[static_cast<std::size_t>(v)], expect) << "trial " << trial << " v " << v;
+    }
+  }
 }
 
 TEST(Generators, NodeAndEdgeCounts) {

@@ -278,17 +278,17 @@ TEST(ScaleResolve, ImplicitLoopFlagSetWithoutCrash) {
   e.topology = TopologySpec::hypercube(6);
   e.rounds = 3;
   exp_detail::Resolved r = exp_detail::resolve(e);
-  EXPECT_TRUE(r.implicit_loop);
   ASSERT_TRUE(r.implicit.has_value());
   EXPECT_EQ(r.graph.node_count(), 0);
   EXPECT_EQ(r.tree.node_count(), 1) << "implicit loop keeps the placeholder tree";
 
   // A crash schedule needs the recovery wave's real Tree: still no Graph,
-  // but the tree is materialized from the closed form and the implicit
-  // driver is bypassed.
+  // but the tree is materialized from the closed form. The closed-loop
+  // driver takes the implicit path only without a topology fault, so the
+  // same Resolved also serves the fault-free twin's implicit run.
   e.fault = FaultSpec::crash(1);
   r = exp_detail::resolve(e);
-  EXPECT_FALSE(r.implicit_loop);
+  ASSERT_TRUE(r.implicit.has_value());
   EXPECT_EQ(r.graph.node_count(), 0);
   EXPECT_EQ(r.tree.node_count(), 64);
 }
@@ -301,7 +301,7 @@ TEST(ScaleResolve, AnalysisForcesMaterialization) {
   e.analyze = true;
   const exp_detail::Resolved r = exp_detail::resolve(e);
   EXPECT_EQ(r.graph.node_count(), 16) << "analyze_competitive walks the real graph";
-  EXPECT_FALSE(r.implicit_loop);
+  EXPECT_FALSE(r.implicit.has_value());
 }
 
 TEST(ScaleResolve, ImplicitExperimentMatchesMaterializedExperiment) {
